@@ -289,9 +289,10 @@ func BenchmarkSwapEval(b *testing.B) {
 }
 
 // BenchmarkSwapEvalLarge pins the kernel's size scaling: proposal cost must
-// grow with the nets a move touches (roughly constant here) times log n,
-// not with instance size. The paper's regime (10 nets per cell) is held
-// fixed while n grows well past the paper's 15 cells.
+// grow with the nets a move touches (roughly constant here) plus the
+// window sweep's per-block work, not with the total span length. The
+// paper's regime (10 nets per cell) is held fixed while n grows well past
+// the paper's 15 cells.
 func BenchmarkSwapEvalLarge(b *testing.B) {
 	for _, n := range []int{15, 100, 400} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
@@ -307,6 +308,31 @@ func BenchmarkSwapEvalLarge(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSwapEvalNOLA is the svc-nola-tempering regime: a 400-cell,
+// 1200-net NOLA instance with 2..8 pins per net, uniform random swap pairs,
+// and every other evaluated move applied, so both the multi-pin span cache
+// and the committed gap counts keep changing under the evaluations.
+func BenchmarkSwapEvalNOLA(b *testing.B) {
+	const n = 400
+	nl := mcopt.RandomHyper(mcopt.Stream("bench/swap-nola", 1), n, 1200, 2, 8)
+	a := mcopt.RandomArrangement(nl, mcopt.Stream("bench/swap-nola-start", 1))
+	r := mcopt.Stream("bench/swap-nola-pairs", 1)
+	a.EvalSwap(0, n-1).Apply()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := r.IntN(n)
+		q := r.IntN(n - 1)
+		if q >= p {
+			q++
+		}
+		m := a.EvalSwap(p, q)
+		if i%2 == 1 {
+			m.Apply()
+		}
 	}
 }
 
@@ -429,15 +455,13 @@ func BenchmarkTempering(b *testing.B) {
 }
 
 // BenchmarkBatchSwapEval measures per-candidate evaluation cost under
-// batching: one op is one evaluated swap candidate, so ns/op across the B
-// variants shows how far the per-batch setup (settle + the sorted
-// committed-maxima index) amortizes. B=1 pays the setup on every candidate
-// and bounds the worst case; the serial kernel baselines are
+// batching: one op is one evaluated swap candidate. Every candidate runs
+// through the serial kernel's window sweep and the batch adds only its
+// candidate log, so the B variants should sit level with each other; a gap
+// between them is per-batch overhead. The serial kernel baselines are
 // BenchmarkSwapEval and BenchmarkSwapEvalLarge. The instance is a large
-// sparse graph (n=4096, 2 nets per cell): 64 tree blocks, so the shared
-// index is a real fraction of a candidate's work. On dense paper-regime
-// instances the per-candidate net walks dominate and the B variants
-// converge — amortization grows with block count over nets touched.
+// sparse graph (n=4096, 2 nets per cell, 64 gap blocks), where the block
+// skip carries most of each wide window.
 func BenchmarkBatchSwapEval(b *testing.B) {
 	nl := mcopt.RandomGraph(mcopt.Stream("bench/batch", 1), 4096, 8192)
 	start := mcopt.RandomArrangement(nl, mcopt.Stream("bench/batch-start", 1))

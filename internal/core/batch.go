@@ -6,8 +6,8 @@ import "math/rand/v2"
 // a block of candidate perturbations against the committed state in one
 // call. A solution that can set up its evaluation scaffolding once per
 // block — rather than once per proposal — amortizes that overhead across
-// the block; internal/linarr uses it to share the gap tree's
-// committed-maxima index across B swap evaluations.
+// the block. internal/linarr and internal/maxcut implement it over their
+// serial kernels, which keep no per-proposal state to amortize.
 //
 // Engines detect the capability with a type assertion and fall back to the
 // serial Propose path when it is absent, so implementing it is purely an

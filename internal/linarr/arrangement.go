@@ -4,11 +4,14 @@
 // positions. With two-pin nets this is the GOLA problem; with multi-pin nets
 // it is NOLA (the board permutation problem of [GOTO77] and [COHO83a]).
 //
-// The package provides O(nets-touched · √n) incremental evaluation of
-// pairwise interchanges and single-exchange (remove/reinsert) moves over a
-// two-level lazy range-add/range-max segment tree (see segtree.go),
-// deterministic local search, and adapters implementing core.Solution /
-// core.Descender. The proposal path performs no heap allocations.
+// The package provides incremental evaluation of pairwise interchanges and
+// single-exchange (remove/reinsert) moves by a window sweep over blocked gap
+// counts (see segtree.go): a move of positions p and q costs O(nets touched
+// + blocks + leaves of the blocks it posts into), with two-pin nets merged
+// into weighted cell-pair edges read straight from the positions. It also
+// provides deterministic local search and adapters implementing
+// core.Solution / core.Descender. The proposal path performs no heap
+// allocations.
 package linarr
 
 import (
@@ -27,45 +30,76 @@ import (
 // pins span positions [lo, hi] crosses every gap in [lo, hi). The density is
 // the maximum crossing count over all gaps.
 //
-// Gap counts live in a lazy range-add/range-max segment tree. An Eval*
-// call applies its net-span changes to the tree's proposal overlay and
-// records them in the span log: Apply merges the overlay and promotes the
-// log, while the next Eval* (a rejected proposal) rolls the overlay back
-// first — committed state is never mutated by an evaluation. The seq
-// counter detects stale moves, so at most one proposal is ever outstanding
-// and the move structs themselves can be reused per arrangement.
+// An Eval* call posts the move's span changes into the gap tree's window
+// scratch and sweeps it; committed state is never mutated by an evaluation,
+// so a rejected move needs no undo. Apply commits the evaluation's logged
+// postings and multi-pin span changes. The seq counter detects stale moves,
+// so at most one proposal is ever outstanding and the move structs
+// themselves can be reused per arrangement.
 type Arrangement struct {
-	nl      *netlist.Netlist
-	cellAt  []int   // cellAt[pos] = cell occupying the position
-	posOf   []int   // posOf[cell] = the cell's position
-	tree    gapTree // gap-crossing counts (committed state + proposal overlay)
-	netLo   []int   // netLo[n] = leftmost pin position of net n (committed)
-	netHi   []int   // netHi[n] = rightmost pin position of net n (committed)
-	dens    int
-	spanSum int // Σ over nets of (netHi − netLo): total wirelength
+	nl     *netlist.Netlist
+	wiring *wiring // the netlist's evaluation form, shared by clones
+	cellAt []int   // cellAt[pos] = cell occupying the position
+	posOf  []int   // posOf[cell] = the cell's position
+	gaps   gapTree // committed gap-crossing counts plus the window sweep
+	netLo  []int   // netLo[n] = leftmost pin position of multi-pin net n
+	netHi  []int   // netHi[n] = rightmost pin position of multi-pin net n
+	dens   int
+	// spanSum is the total wirelength: Σ over nets of (netHi − netLo).
+	spanSum int
 
-	// Proposal state: the outstanding move's span changes and reusable
-	// move storage.
-	spans     []spanChange
-	netMark   []int
+	spans     []spanChange // multi-pin span changes of the last evaluation
+	netMark   []int        // multi-pin net dedup within one move
 	markEpoch int
 	seq       uint64
-	swapMv    swapMove
-	reinsMv   reinsertMove
+	swapMv    move
+	reinsMv   move
 
-	// Canonical-range coalescing for the current evaluation. Every net
-	// whose other pins lie outside the move's window [min(p,q), max(p,q)]
-	// contributes a symmetric-difference edge equal to exactly that window,
-	// so those range-adds collapse into one with an accumulated
-	// coefficient.
-	canonLo, canonHi, canonD int
-
-	// batch is the lazily allocated batched-evaluation scratch (see
-	// batch.go); clones start without one.
+	// batch is the lazily allocated batched-evaluation log (see batch.go);
+	// clones start without one.
 	batch *batchEval
 }
 
+// wiring is a netlist arranged for evaluation. Two-pin nets are merged per
+// cell into weighted neighbour edges (parallel nets become one edge), whose
+// spans are read from the positions; multi-pin nets keep a span cache in
+// the arrangement.
+type wiring struct {
+	pairs [][]pairEdge // pairs[c] = c's two-pin neighbours
+	multi [][]int      // multi[c] = multi-pin nets incident to c
+}
+
+type pairEdge struct{ cell, w int }
+
 type spanChange struct{ net, lo, hi int }
+
+func newWiring(nl *netlist.Netlist) *wiring {
+	w := &wiring{
+		pairs: make([][]pairEdge, nl.NumCells()),
+		multi: make([][]int, nl.NumCells()),
+	}
+	var es []pairEdge
+	for c := range w.pairs {
+		es = es[:0]
+		for _, n := range nl.CellNets(c) {
+			pins := nl.Net(n)
+			if len(pins) > 2 {
+				w.multi[c] = append(w.multi[c], n)
+				continue
+			}
+			es = append(es, pairEdge{cell: pins[0] + pins[1] - c, w: 1})
+		}
+		slices.SortFunc(es, func(x, y pairEdge) int { return x.cell - y.cell })
+		for _, e := range es {
+			if k := len(w.pairs[c]) - 1; k >= 0 && w.pairs[c][k].cell == e.cell {
+				w.pairs[c][k].w++
+			} else {
+				w.pairs[c] = append(w.pairs[c], e)
+			}
+		}
+	}
+	return w
+}
 
 // New builds an arrangement placing cell order[i] at position i. order must
 // be a permutation of 0..NumCells-1.
@@ -76,13 +110,14 @@ func New(nl *netlist.Netlist, order []int) (*Arrangement, error) {
 	}
 	a := &Arrangement{
 		nl:      nl,
+		wiring:  newWiring(nl),
 		cellAt:  slices.Clone(order),
 		posOf:   make([]int, n),
 		netLo:   make([]int, nl.NumNets()),
 		netHi:   make([]int, nl.NumNets()),
 		netMark: make([]int, nl.NumNets()),
 	}
-	a.tree.init(max(n-1, 0))
+	a.gaps.init(max(n-1, 0))
 	seen := make([]bool, n)
 	for pos, c := range order {
 		if c < 0 || c >= n || seen[c] {
@@ -121,131 +156,51 @@ func Identity(nl *netlist.Netlist) *Arrangement {
 }
 
 // recompute rebuilds spans, gap counts and density from the permutation —
-// O(total pins). Used at construction and as the test oracle's reference.
+// O(total pins). Used at construction.
 func (a *Arrangement) recompute() {
 	counts := make([]int, max(a.nl.NumCells()-1, 0))
 	a.spanSum = 0
 	for n := 0; n < a.nl.NumNets(); n++ {
-		lo, hi := a.span(n, -1, -1, -1, -1)
-		a.netLo[n], a.netHi[n] = lo, hi
+		pins := a.nl.Net(n)
+		lo, hi := a.nl.NumCells(), -1
+		for _, c := range pins {
+			lo = min(lo, a.posOf[c])
+			hi = max(hi, a.posOf[c])
+		}
+		if len(pins) > 2 {
+			a.netLo[n], a.netHi[n] = lo, hi
+		}
 		a.spanSum += hi - lo
 		for g := lo; g < hi; g++ {
 			counts[g]++
 		}
 	}
-	a.spans = a.spans[:0]
-	a.tree.build(counts)
-	a.dens = a.tree.proposedMax()
+	a.gaps.build(counts)
+	a.dens = a.gaps.committedMax()
 }
 
-// span computes net n's position span, pretending that cellX sits at posX
-// and cellY at posY (pass −1s for no overrides). Two-pin nets — every net
-// in the GOLA regime — take a loop-free fast path.
-func (a *Arrangement) span(n, cellX, posX, cellY, posY int) (lo, hi int) {
+// netSpan returns net n's committed position span: from the cache for a
+// multi-pin net, from the pin positions for a two-pin net.
+func (a *Arrangement) netSpan(n int) (lo, hi int) {
 	pins := a.nl.Net(n)
 	if len(pins) == 2 {
 		p0, p1 := a.posOf[pins[0]], a.posOf[pins[1]]
-		switch pins[0] {
-		case cellX:
-			p0 = posX
-		case cellY:
-			p0 = posY
-		}
-		switch pins[1] {
-		case cellX:
-			p1 = posX
-		case cellY:
-			p1 = posY
-		}
-		if p0 < p1 {
-			return p0, p1
-		}
-		return p1, p0
+		return min(p0, p1), max(p0, p1)
 	}
-	lo, hi = a.nl.NumCells(), -1
-	for _, c := range pins {
-		p := a.posOf[c]
-		switch c {
-		case cellX:
-			p = posX
-		case cellY:
-			p = posY
-		}
-		lo = min(lo, p)
-		hi = max(hi, p)
-	}
-	return lo, hi
+	return a.netLo[n], a.netHi[n]
 }
 
-// settle discards an un-applied outstanding proposal, restoring the tree's
-// proposal overlay to empty. O(blocks touched); a no-op when no proposal is
-// outstanding.
-func (a *Arrangement) settle() {
-	a.tree.rollback()
-	a.spans = a.spans[:0]
-}
-
-// propose records net n's span change [lo, hi) in the span log and applies
-// it to the gap tree's proposal overlay (discarded by settle, merged by
-// commit). When the old and new spans overlap — the common case — only
-// their symmetric difference is posted: the shared middle cancels exactly,
-// so the tree work tracks how far the endpoints moved, not the span
-// lengths.
-func (a *Arrangement) propose(n, lo, hi int) {
+// postNet posts multi-pin net n's span change to [lo, hi] into the gap
+// window, logs it for Apply, and returns its span delta. Each net is posted
+// at most once per move.
+func (a *Arrangement) postNet(n, lo, hi int) int {
 	oldLo, oldHi := a.netLo[n], a.netHi[n]
-	if lo < oldHi && oldLo < hi {
-		if oldLo < lo {
-			a.addRange(oldLo, lo, -1)
-		} else {
-			a.addRange(lo, oldLo, 1)
-		}
-		if hi < oldHi {
-			a.addRange(hi, oldHi, -1)
-		} else {
-			a.addRange(oldHi, hi, 1)
-		}
-	} else {
-		a.addRange(oldLo, oldHi, -1)
-		a.addRange(lo, hi, 1)
+	if lo == oldLo && hi == oldHi {
+		return 0
 	}
-	a.spans = append(a.spans, spanChange{net: n, lo: lo, hi: hi})
-}
-
-// beginCanon starts an evaluation's canonical-range accumulator for the
-// window [lo, hi); flushCanon posts the accumulated coefficient (if any) to
-// the tree and must run before the tree's proposedMax is read.
-func (a *Arrangement) beginCanon(lo, hi int) {
-	a.canonLo, a.canonHi, a.canonD = lo, hi, 0
-}
-
-func (a *Arrangement) flushCanon() {
-	if a.canonD != 0 {
-		a.tree.rangeAdd(a.canonLo, a.canonHi, a.canonD)
-		a.canonD = 0
-	}
-}
-
-// addRange routes a proposal range-add either into the canonical-range
-// accumulator (when it is exactly the move's window) or straight to the
-// tree. Zero-length ranges are dropped by the tree.
-func (a *Arrangement) addRange(l, r, d int) {
-	if l == a.canonLo && r == a.canonHi {
-		a.canonD += d
-		return
-	}
-	a.tree.rangeAdd(l, r, d)
-}
-
-// commit promotes the outstanding proposal: the tree overlay is merged and
-// the span cache and objective values updated.
-func (a *Arrangement) commit(delta, spanDelta int) {
-	for _, s := range a.spans {
-		a.netLo[s.net], a.netHi[s.net] = s.lo, s.hi
-	}
-	a.spans = a.spans[:0]
-	a.tree.commitProposal()
-	a.dens += delta
-	a.spanSum += spanDelta
+	a.gaps.moveSpan(oldLo, oldHi, lo, hi, 1)
+	a.spans = append(a.spans, spanChange{n, lo, hi})
+	return (hi - lo) - (oldHi - oldLo)
 }
 
 // Density returns the current maximum gap-crossing count — the objective of
@@ -274,19 +229,20 @@ func (a *Arrangement) PosOf(cell int) int { return a.posOf[cell] }
 func (a *Arrangement) Order() []int { return slices.Clone(a.cellAt) }
 
 // GapCut returns the committed crossing count of gap g in O(1), for
-// diagnostics and tests. Proposals live in the tree's overlay, so an
+// diagnostics and tests. Evaluation never touches committed counts, so an
 // evaluated-but-unapplied move stays valid across the call.
-func (a *Arrangement) GapCut(g int) int { return a.tree.committedAt(g) }
+func (a *Arrangement) GapCut(g int) int { return a.gaps.committedAt(g) }
 
-// Clone returns a deep copy sharing only the immutable netlist. The copy is
-// in committed state: an outstanding proposal on the receiver is not
-// carried over (the receiver and its pending move are untouched).
+// Clone returns a deep copy sharing only the immutable netlist and its
+// wiring. An outstanding proposal on the receiver is not carried over (the
+// receiver and its pending move are untouched).
 func (a *Arrangement) Clone() *Arrangement {
 	return &Arrangement{
 		nl:      a.nl,
+		wiring:  a.wiring,
 		cellAt:  slices.Clone(a.cellAt),
 		posOf:   slices.Clone(a.posOf),
-		tree:    a.tree.clone(),
+		gaps:    a.gaps.clone(),
 		netLo:   slices.Clone(a.netLo),
 		netHi:   slices.Clone(a.netHi),
 		dens:    a.dens,

@@ -24,6 +24,8 @@ func TestProposeBatchMatchesSerial(t *testing.T) {
 		{"graph-n33", netlist.RandomGraph(gen, 33, 80)},
 		{"hyper-n20", netlist.RandomHyper(gen, 20, 15, 2, 6)},
 		{"sparse-n25", netlist.RandomGraph(gen, 25, 5)},
+		{"multi-n15", netlist.RandomGraph(gen, 15, 150)},
+		{"mixed-n300", netlist.RandomHyper(gen, 300, 600, 2, 8)},
 	}
 	const B = 16
 	for _, inst := range instances {
@@ -46,9 +48,9 @@ func TestProposeBatchMatchesSerial(t *testing.T) {
 									round, i, deltas[i], want)
 							}
 						}
-						// Commit a random candidate on both copies. ApplyBatch
-						// itself cross-checks the preview against the serial
-						// evaluation and panics on any disagreement.
+						// Commit a random candidate on both copies: ApplyBatch
+						// replays the logged evaluation, the serial copy
+						// re-evaluates it.
 						i := pick.IntN(B)
 						batched.ApplyBatch(i)
 						be := batched.arr.batch
@@ -75,8 +77,8 @@ func TestProposeBatchMatchesSerial(t *testing.T) {
 }
 
 // TestProposeBatchAfterSerialTraffic: a batch drawn while a serial proposal
-// overlay is outstanding must still read committed state (ProposeBatch
-// settles first), and the random recipe stays aligned with Propose.
+// is outstanding must still read committed state, and the random recipe
+// stays aligned with Propose.
 func TestProposeBatchAfterSerialTraffic(t *testing.T) {
 	nl := netlist.RandomGraph(rand.New(rand.NewPCG(3, 3)), 12, 30)
 	start := Random(nl, rand.New(rand.NewPCG(4, 4)))
@@ -180,4 +182,46 @@ func TestProposeBatchCloneIndependent(t *testing.T) {
 	c.ProposeBatch(rand.New(rand.NewPCG(14, 14)), cd)
 	c.ApplyBatch(0)
 	s.ApplyBatch(0)
+}
+
+// TestProposalPathAllocatesNothing pins DESIGN.md §5's zero-allocation
+// claim: at steady state every proposal-path entry point — serial
+// evaluation of both move kinds, Apply, and the batched pair — allocates
+// nothing, on the paper's GOLA shape and on a large mixed NOLA instance.
+func TestProposalPathAllocatesNothing(t *testing.T) {
+	gen := rand.New(rand.NewPCG(5, 5))
+	for _, inst := range []struct {
+		name string
+		nl   *netlist.Netlist
+	}{
+		{"gola-15x150", netlist.RandomGraph(gen, 15, 150)},
+		{"nola-400x1200", netlist.RandomHyper(gen, 400, 1200, 2, 8)},
+	} {
+		t.Run(inst.name, func(t *testing.T) {
+			a := Random(inst.nl, gen)
+			n := a.NumCells()
+			r := rand.New(rand.NewPCG(6, 6))
+			pair := func() (int, int) { return r.IntN(n), r.IntN(n) }
+			swap := NewSolution(a.Clone(), PairwiseInterchange)
+			reins := NewSolution(a.Clone(), SingleExchange)
+			deltas := make([]float64, 16)
+			for _, tc := range []struct {
+				name string
+				f    func()
+			}{
+				{"EvalSwapFor", func() { p, q := pair(); a.EvalSwapFor(p, q, Density) }},
+				{"EvalReinsertFor", func() { p, q := pair(); a.EvalReinsertFor(p, q, TotalSpan) }},
+				{"Apply/swap", func() { p, q := pair(); a.EvalSwapFor(p, q, Density).Apply() }},
+				{"Apply/reinsert", func() { p, q := pair(); a.EvalReinsertFor(p, q, Density).Apply() }},
+				{"ProposeBatch", func() { swap.ProposeBatch(r, deltas) }},
+				{"ApplyBatch/swap", func() { swap.ProposeBatch(r, deltas); swap.ApplyBatch(r.IntN(len(deltas))) }},
+				{"ApplyBatch/reinsert", func() { reins.ProposeBatch(r, deltas); reins.ApplyBatch(r.IntN(len(deltas))) }},
+			} {
+				tc.f() // warm lazily sized scratch
+				if got := testing.AllocsPerRun(200, tc.f); got != 0 {
+					t.Errorf("%s: %v allocs/op, want 0", tc.name, got)
+				}
+			}
+		})
+	}
 }

@@ -2,6 +2,7 @@ package linarr
 
 import (
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"mcopt/internal/netlist"
@@ -9,10 +10,14 @@ import (
 
 // checkAgainstOracle rebuilds an arrangement from a's committed order and
 // compares every piece of incremental state — density, total span, per-gap
-// counts and per-net spans — against the from-scratch recompute.
+// counts and per-net spans — against the from-scratch recompute. A net's
+// span is the one the kernel derives (cached for a multi-pin net, read from
+// the positions for a two-pin net) and is checked against a brute-force
+// span of the order.
 func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 	t.Helper()
-	oracle := MustNew(a.Netlist(), a.Order())
+	nl := a.Netlist()
+	oracle := MustNew(nl, a.Order())
 	if a.Density() != oracle.Density() {
 		t.Fatalf("%s: Density = %d, oracle %d", label, a.Density(), oracle.Density())
 	}
@@ -24,10 +29,18 @@ func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 			t.Fatalf("%s: GapCut(%d) = %d, oracle %d", label, g, a.GapCut(g), oracle.GapCut(g))
 		}
 	}
-	for n := 0; n < a.Netlist().NumNets(); n++ {
-		if a.netLo[n] != oracle.netLo[n] || a.netHi[n] != oracle.netHi[n] {
-			t.Fatalf("%s: net %d span [%d,%d], oracle [%d,%d]",
-				label, n, a.netLo[n], a.netHi[n], oracle.netLo[n], oracle.netHi[n])
+	pos := make([]int, a.NumCells())
+	for p, c := range a.Order() {
+		pos[c] = p
+	}
+	for n := 0; n < nl.NumNets(); n++ {
+		lo, hi := a.NumCells(), -1
+		for _, c := range nl.Net(n) {
+			lo, hi = min(lo, pos[c]), max(hi, pos[c])
+		}
+		if gotLo, gotHi := a.netSpan(n); gotLo != lo || gotHi != hi {
+			t.Fatalf("%s: net %d (%d pins) span [%d,%d], oracle [%d,%d]",
+				label, n, len(nl.Net(n)), gotLo, gotHi, lo, hi)
 		}
 	}
 	for c := 0; c < a.NumCells(); c++ {
@@ -87,7 +100,10 @@ func driveKernel(t *testing.T, nl *netlist.Netlist, r *rand.Rand, steps int) {
 
 // TestKernelDifferential drives thousands of random move sequences against
 // the recompute oracle over graph and hypergraph netlists of several sizes,
-// crossing the tree's block-size regimes.
+// crossing the tree's block-size regimes. multi-n15 is the paper's 15/150
+// GOLA shape, where parallel nets merge into weighted pair edges; mixed-n300
+// mixes pair edges with 3..8-pin nets, and its windows span several
+// 32-gap blocks, so the block skip and the edge-block rescans both run.
 func TestKernelDifferential(t *testing.T) {
 	r := rand.New(rand.NewPCG(42, 1))
 	for _, tc := range []struct {
@@ -102,6 +118,8 @@ func TestKernelDifferential(t *testing.T) {
 		{"hyper-n20", netlist.RandomHyper(r, 20, 15, 2, 6), 400},
 		{"hyper-n40", netlist.RandomHyper(r, 40, 25, 3, 8), 300},
 		{"sparse-n25", netlist.RandomGraph(r, 25, 5), 300},
+		{"multi-n15", netlist.RandomGraph(r, 15, 150), 400},
+		{"mixed-n300", netlist.RandomHyper(r, 300, 600, 2, 8), 300},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			driveKernel(t, tc.nl, r, tc.steps)
@@ -117,6 +135,7 @@ func FuzzArrangementKernel(f *testing.F) {
 	f.Add([]byte{2, 0, 1, 0xFF, 0, 1, 2, 3})
 	f.Add([]byte{15, 0, 1, 2, 3, 4, 5, 0xFF, 200, 100, 9, 8, 7, 6, 5, 4, 3})
 	f.Add([]byte{3})
+	f.Add([]byte{9, 0x40, 3, 7, 1, 2, 0x41, 5, 8, 1, 2, 0xFF, 1, 0x88, 0x83, 0x85, 4, 0x86, 2, 7})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -124,14 +143,20 @@ func FuzzArrangementKernel(f *testing.F) {
 		n := int(data[0])%19 + 2 // 2..20 cells
 		data = data[1:]
 
-		// Bytes up to the 0xFF sentinel are net pins, two per net.
+		// Bytes up to the 0xFF sentinel are net pins: a net whose first
+		// byte has bit 0x40 set takes three pins, any other net two, so
+		// fuzzed netlists mix pair edges with multi-pin nets. Nets that
+		// repeat a cell are skipped.
 		var nets [][]int
 		for len(data) >= 2 && data[0] != 0xFF {
-			u, v := int(data[0])%n, int(data[1])%n
-			if u != v {
-				nets = append(nets, []int{u, v})
+			pins := []int{int(data[0]) % n, int(data[1]) % n}
+			if data[0]&0x40 != 0 && len(data) >= 3 {
+				pins = append(pins, int(data[2])%n)
 			}
-			data = data[2:]
+			data = data[len(pins):]
+			if slices.Sort(pins); len(slices.Compact(pins)) == len(pins) {
+				nets = append(nets, pins)
+			}
 		}
 		if len(data) > 0 && data[0] == 0xFF {
 			data = data[1:]

@@ -46,117 +46,177 @@ func (o Objective) String() string {
 	}
 }
 
-// swapMove is a pairwise interchange of the cells at two positions — the
-// perturbation class used throughout the paper's GOLA/NOLA experiments.
-type swapMove struct {
+// move is a pairwise interchange of the cells at two positions — the
+// perturbation class used throughout the paper's GOLA/NOLA experiments — or,
+// with reinsert set, the removal of the cell at position p and its
+// reinsertion at position q, shifting the cells in between — the paper's
+// "single exchange" move ([COHO83a]).
+type move struct {
 	a         *Arrangement
 	p, q      int
+	reinsert  bool
 	delta     int
 	spanDelta int
 	obj       Objective
 	seq       uint64
 }
 
-// reinsertMove removes the cell at position p and reinserts it at position
-// q, shifting the cells in between — the paper's "single exchange" move
-// ([COHO83a]).
-type reinsertMove struct {
-	a         *Arrangement
-	p, q      int
-	delta     int
-	spanDelta int
-	obj       Objective
-	seq       uint64
-}
-
-// EvalSwap evaluates interchanging the cells at positions p and q. The
-// evaluation runs in O(nets incident to the two cells · log n) and does not
-// commit until Apply.
+// EvalSwap evaluates interchanging the cells at positions p and q. Only the
+// two cells' pair edges and multi-pin nets are visited, and only gaps
+// between p and q can change; the evaluation does not commit until Apply.
 func (a *Arrangement) EvalSwap(p, q int) Move { return a.EvalSwapFor(p, q, Density) }
 
 // EvalSwapFor is EvalSwap with an explicit reporting objective.
 func (a *Arrangement) EvalSwapFor(p, q int, obj Objective) Move {
+	return a.eval(&a.swapMv, p, q, false, obj)
+}
+
+// EvalReinsert evaluates removing the cell at position p and reinserting it
+// at position q (cells in between shift toward p). Only nets with a pin in
+// the shifted window [min(p,q), max(p,q)] can change span, so the
+// evaluation visits the window's cells rather than every net.
+func (a *Arrangement) EvalReinsert(p, q int) Move { return a.EvalReinsertFor(p, q, Density) }
+
+// EvalReinsertFor is EvalReinsert with an explicit reporting objective.
+func (a *Arrangement) EvalReinsertFor(p, q int, obj Objective) Move {
+	return a.eval(&a.reinsMv, p, q, true, obj)
+}
+
+// eval fills the reusable move storage m with a fresh evaluation: the move's
+// span changes are posted into the gap window and swept for the proposed
+// density. Committed state is only read.
+func (a *Arrangement) eval(m *move, p, q int, reinsert bool, obj Objective) *move {
 	a.checkPos(p)
 	a.checkPos(q)
-	a.settle()
 	a.seq++
-	m := &a.swapMv
-	*m = swapMove{a: a, p: p, q: q, obj: obj, seq: a.seq}
+	*m = move{a: a, p: p, q: q, reinsert: reinsert, obj: obj, seq: a.seq}
+	a.spans = a.spans[:0]
 	if p == q {
 		return m
 	}
-	x, y := a.cellAt[p], a.cellAt[q]
-	spanDelta := 0
-	a.markEpoch++
-	a.beginCanon(min(p, q), max(p, q))
-	visit := func(n int) {
-		if a.netMark[n] == a.markEpoch {
-			return
-		}
-		a.netMark[n] = a.markEpoch
-		lo, hi := a.span(n, x, q, y, p)
-		if lo == a.netLo[n] && hi == a.netHi[n] {
-			return
-		}
-		spanDelta += (hi - lo) - (a.netHi[n] - a.netLo[n])
-		a.propose(n, lo, hi)
+	if reinsert {
+		m.spanDelta = a.postReinsert(p, q)
+	} else {
+		m.spanDelta = a.postSwap(p, q)
 	}
-	for _, n := range a.nl.CellNets(x) {
-		visit(n)
-	}
-	for _, n := range a.nl.CellNets(y) {
-		visit(n)
-	}
-	a.flushCanon()
-	m.delta = a.tree.proposedMax() - a.dens
-	m.spanDelta = spanDelta
+	m.delta = a.gaps.sweepMax() - a.dens
 	return m
 }
 
-func (m *swapMove) Delta() float64    { return float64(m.DeltaInt()) }
-func (m *swapMove) DensityDelta() int { return m.delta }
-func (m *swapMove) SpanDelta() int    { return m.spanDelta }
+func (m *move) Delta() float64    { return float64(m.DeltaInt()) }
+func (m *move) DensityDelta() int { return m.delta }
+func (m *move) SpanDelta() int    { return m.spanDelta }
 
-func (m *swapMove) DeltaInt() int {
+func (m *move) DeltaInt() int {
 	if m.obj == TotalSpan {
 		return m.spanDelta
 	}
 	return m.delta
 }
 
-func (m *swapMove) Apply() {
+// Apply commits the move: the evaluation's logged postings go into the
+// committed gap counts and its multi-pin span changes into the span cache,
+// then the cells move.
+func (m *move) Apply() {
 	a := m.a
 	if m.seq != a.seq {
-		panic("linarr: Apply on a stale swap move")
+		panic("linarr: Apply on a stale move")
 	}
 	a.seq++
-	x, y := a.cellAt[m.p], a.cellAt[m.q]
-	a.cellAt[m.p], a.cellAt[m.q] = y, x
-	a.posOf[x], a.posOf[y] = m.q, m.p
-	a.commit(m.delta, m.spanDelta)
+	if m.p != m.q {
+		a.gaps.commit()
+		for _, c := range a.spans {
+			a.netLo[c.net], a.netHi[c.net] = c.lo, c.hi
+		}
+		if m.reinsert {
+			c := a.cellAt[m.p]
+			if m.p < m.q {
+				copy(a.cellAt[m.p:m.q], a.cellAt[m.p+1:m.q+1])
+			} else {
+				copy(a.cellAt[m.q+1:m.p+1], a.cellAt[m.q:m.p])
+			}
+			a.cellAt[m.q] = c
+			for pos := min(m.p, m.q); pos <= max(m.p, m.q); pos++ {
+				a.posOf[a.cellAt[pos]] = pos
+			}
+		} else {
+			x, y := a.cellAt[m.p], a.cellAt[m.q]
+			a.cellAt[m.p], a.cellAt[m.q] = y, x
+			a.posOf[x], a.posOf[y] = m.q, m.p
+		}
+	}
+	a.dens += m.delta
+	a.spanSum += m.spanDelta
 }
 
-// EvalReinsert evaluates removing the cell at position p and reinserting it
-// at position q (cells in between shift toward p). Only nets with a pin in
-// the shifted window [min(p,q), max(p,q)] can change span, so the
-// evaluation runs in O(pins of nets incident to the window · log n) rather
-// than rescanning every net.
-func (a *Arrangement) EvalReinsert(p, q int) Move { return a.EvalReinsertFor(p, q, Density) }
-
-// EvalReinsertFor is EvalReinsert with an explicit reporting objective.
-func (a *Arrangement) EvalReinsertFor(p, q int, obj Objective) Move {
-	a.checkPos(p)
-	a.checkPos(q)
-	a.settle()
-	a.seq++
-	m := &a.reinsMv
-	*m = reinsertMove{a: a, p: p, q: q, obj: obj, seq: a.seq}
-	if p == q {
-		return m
+// postSwap posts interchanging the cells at positions p ≠ q into the gap
+// window [min(p,q), max(p,q)) and returns the total-span change.
+func (a *Arrangement) postSwap(p, q int) int {
+	lo, hi := min(p, q), max(p, q)
+	u, v := a.cellAt[lo], a.cellAt[hi]
+	a.gaps.open(lo, hi)
+	spanDelta := a.postPairs(u, v, lo, hi, 1) + a.postPairs(v, u, lo, hi, -1)
+	a.markEpoch++
+	for _, c := range [2]int{u, v} {
+		for _, n := range a.wiring.multi[c] {
+			if a.netMark[n] == a.markEpoch {
+				continue
+			}
+			a.netMark[n] = a.markEpoch
+			nlo, nhi := a.nl.NumCells(), -1
+			for _, pin := range a.nl.Net(n) {
+				pp := a.posOf[pin]
+				switch pin {
+				case u:
+					pp = hi
+				case v:
+					pp = lo
+				}
+				nlo, nhi = min(nlo, pp), max(nhi, pp)
+			}
+			spanDelta += a.postNet(n, nlo, nhi)
+		}
 	}
-	// newPos maps an old position to its post-move position. Positions
-	// outside the window are fixed, so a net with no pin in the window
-	// keeps its span.
+	return spanDelta
+}
+
+// postPairs posts the pair edges of cell c as it crosses the window from
+// one end to the other (s = +1 from lo to hi, s = −1 from hi to lo), except
+// its edge to the cell it trades places with, whose span is unchanged. With
+// s = +1, an edge whose far end sits left of the window gains the whole
+// window, one whose far end sits right of it loses the whole window, and
+// one whose far end sits inside at pz trades [lo, pz) for [pz, hi); s = −1
+// negates each case.
+func (a *Arrangement) postPairs(c, other, lo, hi, s int) (spanDelta int) {
+	t := &a.gaps
+	for _, e := range a.wiring.pairs[c] {
+		if e.cell == other {
+			continue
+		}
+		w, pz := s*e.w, a.posOf[e.cell]
+		switch {
+		case pz < lo:
+			t.base += w
+			spanDelta += w * (hi - lo)
+		case pz > hi:
+			t.base -= w
+			spanDelta -= w * (hi - lo)
+		default:
+			t.base -= w
+			t.postInside(pz, 2*w)
+			spanDelta += w * (hi + lo - 2*pz)
+		}
+	}
+	return spanDelta
+}
+
+// postReinsert posts moving the cell at position p to position q ≠ p into
+// the gap window [min(p,q), max(p,q)) and returns the total-span change.
+// Positions outside the window are fixed, so only nets with a pin in it are
+// visited.
+func (a *Arrangement) postReinsert(p, q int) int {
+	lo, hi := min(p, q), max(p, q)
+	// newPos maps an old position to its post-move position.
 	newPos := func(pos int) int {
 		switch {
 		case pos == p:
@@ -169,65 +229,39 @@ func (a *Arrangement) EvalReinsertFor(p, q int, obj Objective) Move {
 			return pos
 		}
 	}
-	spanDelta := 0
+	a.gaps.open(lo, hi)
 	a.markEpoch++
-	a.beginCanon(min(p, q), max(p, q))
-	for pos := min(p, q); pos <= max(p, q); pos++ {
-		for _, n := range a.nl.CellNets(a.cellAt[pos]) {
+	spanDelta := 0
+	for pos := lo; pos <= hi; pos++ {
+		c := a.cellAt[pos]
+		np := newPos(pos)
+		for _, e := range a.wiring.pairs[c] {
+			pz := a.posOf[e.cell]
+			if lo <= pz && pz < pos {
+				continue // posted from its other end
+			}
+			npz := newPos(pz)
+			oldLo, oldHi := min(pos, pz), max(pos, pz)
+			nlo, nhi := min(np, npz), max(np, npz)
+			if nlo != oldLo || nhi != oldHi {
+				a.gaps.moveSpan(oldLo, oldHi, nlo, nhi, e.w)
+				spanDelta += e.w * ((nhi - nlo) - (oldHi - oldLo))
+			}
+		}
+		for _, n := range a.wiring.multi[c] {
 			if a.netMark[n] == a.markEpoch {
 				continue
 			}
 			a.netMark[n] = a.markEpoch
-			lo, hi := a.nl.NumCells(), -1
-			for _, c := range a.nl.Net(n) {
-				pp := newPos(a.posOf[c])
-				lo = min(lo, pp)
-				hi = max(hi, pp)
+			nlo, nhi := a.nl.NumCells(), -1
+			for _, pin := range a.nl.Net(n) {
+				pp := newPos(a.posOf[pin])
+				nlo, nhi = min(nlo, pp), max(nhi, pp)
 			}
-			if lo == a.netLo[n] && hi == a.netHi[n] {
-				continue
-			}
-			spanDelta += (hi - lo) - (a.netHi[n] - a.netLo[n])
-			a.propose(n, lo, hi)
+			spanDelta += a.postNet(n, nlo, nhi)
 		}
 	}
-	a.flushCanon()
-	m.delta = a.tree.proposedMax() - a.dens
-	m.spanDelta = spanDelta
-	return m
-}
-
-func (m *reinsertMove) Delta() float64    { return float64(m.DeltaInt()) }
-func (m *reinsertMove) DensityDelta() int { return m.delta }
-func (m *reinsertMove) SpanDelta() int    { return m.spanDelta }
-
-func (m *reinsertMove) DeltaInt() int {
-	if m.obj == TotalSpan {
-		return m.spanDelta
-	}
-	return m.delta
-}
-
-func (m *reinsertMove) Apply() {
-	a := m.a
-	if m.seq != a.seq {
-		panic("linarr: Apply on a stale reinsert move")
-	}
-	a.seq++
-	if m.p != m.q {
-		c := a.cellAt[m.p]
-		if m.p < m.q {
-			copy(a.cellAt[m.p:m.q], a.cellAt[m.p+1:m.q+1])
-		} else {
-			copy(a.cellAt[m.q+1:m.p+1], a.cellAt[m.q:m.p])
-		}
-		a.cellAt[m.q] = c
-		lo, hi := min(m.p, m.q), max(m.p, m.q)
-		for pos := lo; pos <= hi; pos++ {
-			a.posOf[a.cellAt[pos]] = pos
-		}
-	}
-	a.commit(m.delta, m.spanDelta)
+	return spanDelta
 }
 
 func (a *Arrangement) checkPos(p int) {

@@ -2,196 +2,179 @@ package linarr
 
 import "slices"
 
-// gapTree is a two-level lazy segment tree (a block tree) over the
-// arrangement's gaps, and is the evaluation kernel's core data structure.
-// Leaves are the per-gap crossing counts; internal nodes are fixed-size
-// blocks of ~√n leaves carrying a range maximum and a lazy range-add tag.
-// A net whose span changes contributes range-adds over the symmetric
-// difference of its old and new spans (see Arrangement.propose); the
-// proposed density is the maximum over the block summaries. Proposal cost
-// is therefore O(nets-touched · √n + n/√n) — independent of the total span
-// length the previous kernel paid for (it snapshotted all n gaps and
-// re-scanned them per proposal).
+// gapTree holds the arrangement's per-gap crossing counts in fixed-size
+// blocks of ~√n leaves, each block carrying its committed maximum, and
+// evaluates moves against them with a window sweep.
 //
-// Two levels instead of a log-depth binary tree is a measured choice: per
-// range-add, a binary tree spends ~3 pointer walks to the root updating
-// max/lazy nodes, which at the instance sizes this repo targets (n ≤ a few
-// thousand) costs more than the block tree's contiguous array writes. The
-// binary variant benchmarked ~5× slower at n = 15 and ~1.6× slower at
-// n = 400 than this layout.
+// A swap or reinsert of positions p and q changes counts only inside the
+// window of gaps [min(p,q), max(p,q)). An evaluation opens that window and
+// posts every changed net's old and new span endpoints into a window-local
+// difference array: an endpoint at or left of the window start lands in
+// base, one at or right of the window end is dropped, since the change is
+// zero outside the window. One prefix sweep over the window then yields the
+// proposed counts. A block the window covers fully and holding no posted
+// endpoint is shifted uniformly by the running sum, so it is read as
+// blockMax + run in O(1); blocks outside the window contribute their
+// committed maxima, and the window's two edge blocks rescan the leaves the
+// window leaves out. An evaluation therefore costs O(endpoints posted +
+// leaves of the posted and edge blocks + blocks).
 //
-// Proposals never mutate committed state. Range-adds write into an overlay:
-// full blocks accumulate a lazy add tag (add[b]), partially covered blocks
-// are copied on first touch into a scratch leaf array (propCut) and edited
-// there. The journal of touched blocks is the undo log — rolling back a
-// rejected proposal just clears the touched blocks' tags and flags in
-// O(blocks touched), with no inverse-add replay; committing merges the
-// overlay into the committed arrays.
+// The sweep consumes the difference array as it reads it, so it is all-zero
+// between evaluations and a rejected move needs no rollback. The postings
+// also stay in a short log (base plus the inside endpoints) until the next
+// window opens; commit replays that log into the committed counts.
 type gapTree struct {
 	n      int  // number of gaps (leaves)
-	bsize  int  // block size, a power of two ≥ √n (min 16)
-	shift  uint // log2(bsize)
+	shift  uint // log2 of the block size, a power of two ≥ √n (min 16)
 	blocks int
 
-	// Committed state: exact leaf values and per-block maxima (no pending
-	// tags — committed reads are O(1)).
-	cut      []int
-	blockMax []int
+	cut      []int // committed crossing count of each gap
+	blockMax []int // committed maximum of each block
 
-	// Proposal overlay.
-	propCut []int  // copy-on-write leaf scratch, valid where copied[b]
-	propAdd []int  // lazy whole-block add tags
-	copied  []bool // block b's leaves live in propCut
-	touched []bool // block b appears in journal
-	journal []int  // undo log: blocks touched by the outstanding proposal
+	// Window scratch for the move last posted.
+	lo, hi int        // the window [lo, hi)
+	base   int        // sum of the endpoints posted at or left of lo
+	log    []endpoint // the endpoints posted strictly inside the window
+	diff   []int      // diff[g] = sum of the endpoints at gap g; zero after a sweep
+	posted []bool     // posted[b]: block b holds a diff entry
 }
 
-// init sizes the tree for n gaps (n may be 0 for a single-cell
-// arrangement) with all counts zero. All proposal-path storage is
-// allocated here once; evaluation never allocates.
+type endpoint struct{ g, d int }
+
+// init sizes the tree for n gaps (n may be 0 for a single-cell arrangement)
+// with all counts zero. All scratch is allocated here once; evaluation never
+// allocates.
 func (t *gapTree) init(n int) {
 	t.n = n
-	t.shift = 4 // bsize ≥ 16 keeps per-block bookkeeping negligible
+	t.shift = 4 // blocks of ≥ 16 keep per-block bookkeeping negligible
 	for 1<<(2*t.shift) < n {
 		t.shift++
 	}
-	t.bsize = 1 << t.shift
-	t.blocks = (n + t.bsize - 1) / t.bsize
+	t.blocks = (n + 1<<t.shift - 1) >> t.shift
 	t.cut = make([]int, n)
-	t.propCut = make([]int, n)
+	t.diff = make([]int, n)
 	t.blockMax = make([]int, t.blocks)
-	t.propAdd = make([]int, t.blocks)
-	t.copied = make([]bool, t.blocks)
-	t.touched = make([]bool, t.blocks)
-	t.journal = make([]int, 0, t.blocks)
+	t.posted = make([]bool, t.blocks)
 }
 
-// build resets committed state to the given leaf values (len(values) == n)
-// and discards any proposal overlay.
+// build resets the committed counts to values (len(values) == n).
 func (t *gapTree) build(values []int) {
 	copy(t.cut, values)
 	for b := 0; b < t.blocks; b++ {
 		lo, hi := t.blockBounds(b)
 		t.blockMax[b] = maxOf(t.cut[lo:hi])
 	}
-	clear(t.propAdd)
-	clear(t.copied)
-	clear(t.touched)
-	t.journal = t.journal[:0]
 }
 
 func (t *gapTree) blockBounds(b int) (lo, hi int) {
 	lo = b << t.shift
-	return lo, min(lo+t.bsize, t.n)
+	return lo, min(lo+1<<t.shift, t.n)
 }
 
-func (t *gapTree) touch(b int) {
-	if !t.touched[b] {
-		t.touched[b] = true
-		t.journal = append(t.journal, b)
+// open starts posting a move whose changes lie in the gap window [lo, hi).
+func (t *gapTree) open(lo, hi int) {
+	t.lo, t.hi, t.base = lo, hi, 0
+	t.log = t.log[:0]
+}
+
+// post adds d to every gap of the window at or right of gap e.
+func (t *gapTree) post(e, d int) {
+	switch {
+	case e <= t.lo:
+		t.base += d
+	case e < t.hi:
+		t.postInside(e, d)
 	}
 }
 
-// write applies d to leaves [l, r) of block b through the copy-on-write
-// overlay.
-func (t *gapTree) write(b, l, r, d int) {
-	t.touch(b)
-	if !t.copied[b] {
-		t.copied[b] = true
+// postInside is post for an endpoint known to lie strictly inside the
+// window.
+func (t *gapTree) postInside(e, d int) {
+	t.diff[e] += d
+	t.posted[e>>t.shift] = true
+	t.log = append(t.log, endpoint{e, d})
+}
+
+// moveSpan posts a span of weight w moving from gaps [oldLo, oldHi) to
+// [lo, hi).
+func (t *gapTree) moveSpan(oldLo, oldHi, lo, hi, w int) {
+	t.post(lo, w)
+	t.post(hi, -w)
+	t.post(oldLo, -w)
+	t.post(oldHi, w)
+}
+
+// sweepMax returns the maximum gap count with the posted changes applied and
+// clears the difference array. Committed state is only read.
+func (t *gapTree) sweepMax() int {
+	bl, bh := t.lo>>t.shift, (t.hi-1)>>t.shift
+	m := max(maxOf(t.blockMax[:bl]), maxOf(t.blockMax[bh+1:]))
+	// The edge blocks' leaves outside the window keep their committed counts.
+	lo, _ := t.blockBounds(bl)
+	_, hi := t.blockBounds(bh)
+	m = max(m, maxOf(t.cut[lo:t.lo]), maxOf(t.cut[t.hi:hi]))
+	run := t.base
+	for b := bl; b <= bh; b++ {
 		lo, hi := t.blockBounds(b)
-		copy(t.propCut[lo:hi], t.cut[lo:hi])
-	}
-	pc := t.propCut[l:r]
-	for i := range pc {
-		pc[i] += d
-	}
-}
-
-// rangeAdd adds d to every gap in the half-open range [l, r) as part of
-// the outstanding proposal: partial blocks via copy-on-write leaf writes,
-// fully covered blocks via their lazy add tag.
-func (t *gapTree) rangeAdd(l, r, d int) {
-	if l >= r {
-		return
-	}
-	lb, rb := l>>t.shift, (r-1)>>t.shift
-	if lb == rb {
-		t.write(lb, l, r, d)
-		return
-	}
-	t.write(lb, l, (lb+1)<<t.shift, d)
-	for b := lb + 1; b < rb; b++ {
-		t.touch(b)
-		t.propAdd[b] += d
-	}
-	t.write(rb, rb<<t.shift, r, d)
-}
-
-// proposedMax returns the maximum gap count with the outstanding proposal
-// applied (the committed maximum when no proposal is outstanding), in
-// O(blocks) plus a leaf re-scan of each copied block.
-func (t *gapTree) proposedMax() int {
-	m := 0
-	for b := 0; b < t.blocks; b++ {
-		bm := t.blockMax[b]
-		if t.copied[b] {
-			lo, hi := t.blockBounds(b)
-			bm = maxOf(t.propCut[lo:hi])
+		s, e := max(lo, t.lo), min(hi, t.hi)
+		switch {
+		case t.posted[b]:
+			t.posted[b] = false
+			for g := s; g < e; g++ {
+				run += t.diff[g]
+				t.diff[g] = 0
+				m = max(m, t.cut[g]+run)
+			}
+		case s == lo && e == hi:
+			m = max(m, t.blockMax[b]+run) // the block skip
+		default:
+			m = max(m, maxOf(t.cut[s:e])+run)
 		}
-		m = max(m, bm+t.propAdd[b])
 	}
 	return m
 }
 
-// rollback discards the outstanding proposal in O(blocks touched): committed
-// state was never mutated, so undo is tag/flag clearing, not inverse adds.
-func (t *gapTree) rollback() {
-	for _, b := range t.journal {
-		t.propAdd[b] = 0
-		t.copied[b] = false
-		t.touched[b] = false
+// commit replays the logged postings of the last swept window into the
+// committed counts.
+func (t *gapTree) commit() {
+	for _, p := range t.log {
+		t.diff[p.g] += p.d
+		t.posted[p.g>>t.shift] = true
 	}
-	t.journal = t.journal[:0]
-}
-
-// commitProposal merges the outstanding proposal into committed state,
-// re-deriving each touched block's maximum.
-func (t *gapTree) commitProposal() {
-	for _, b := range t.journal {
+	run := t.base
+	for b := t.lo >> t.shift; b <= (t.hi-1)>>t.shift; b++ {
 		lo, hi := t.blockBounds(b)
-		if t.copied[b] {
-			copy(t.cut[lo:hi], t.propCut[lo:hi])
+		s, e := max(lo, t.lo), min(hi, t.hi)
+		shifted := !t.posted[b] && s == lo && e == hi
+		t.posted[b] = false
+		for g := s; g < e; g++ {
+			run += t.diff[g]
+			t.diff[g] = 0
+			t.cut[g] += run
 		}
-		if d := t.propAdd[b]; d != 0 {
-			for g := lo; g < hi; g++ {
-				t.cut[g] += d
-			}
+		if shifted {
+			t.blockMax[b] += run
+		} else {
+			t.blockMax[b] = maxOf(t.cut[lo:hi])
 		}
-		t.blockMax[b] = maxOf(t.cut[lo:hi])
-		t.propAdd[b] = 0
-		t.copied[b] = false
-		t.touched[b] = false
 	}
-	t.journal = t.journal[:0]
 }
 
-// committedAt returns the committed value of gap g in O(1), ignoring any
-// outstanding proposal.
+// committedMax returns the committed maximum gap count.
+func (t *gapTree) committedMax() int { return maxOf(t.blockMax) }
+
+// committedAt returns the committed count of gap g in O(1).
 func (t *gapTree) committedAt(g int) int { return t.cut[g] }
 
-// clone returns an independent copy of the committed state with an empty
-// overlay.
+// clone returns an independent copy of the committed state.
 func (t *gapTree) clone() gapTree {
-	return gapTree{
-		n: t.n, bsize: t.bsize, shift: t.shift, blocks: t.blocks,
-		cut:      slices.Clone(t.cut),
-		blockMax: slices.Clone(t.blockMax),
-		propCut:  make([]int, t.n),
-		propAdd:  make([]int, t.blocks),
-		copied:   make([]bool, t.blocks),
-		touched:  make([]bool, t.blocks),
-		journal:  make([]int, 0, t.blocks),
-	}
+	c := *t
+	c.cut = slices.Clone(t.cut)
+	c.blockMax = slices.Clone(t.blockMax)
+	c.diff = make([]int, t.n)
+	c.posted = make([]bool, t.blocks)
+	c.log = nil
+	return c
 }
 
 func maxOf(xs []int) int {

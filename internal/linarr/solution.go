@@ -85,22 +85,30 @@ func (s *Solution) Density() int { return s.arr.Density() }
 // returned move is backed by per-arrangement storage: it stays valid until
 // the next Propose / Descend / EvalNeighbor call on this solution, which is
 // exactly the at-most-one-outstanding-move discipline the engines follow.
-func (s *Solution) Propose(r *rand.Rand) core.Move {
+func (s *Solution) Propose(r *rand.Rand) core.Move { return s.propose(r) }
+
+func (s *Solution) propose(r *rand.Rand) *move {
 	n := s.arr.NumCells()
 	if n < 2 {
 		// Degenerate single-cell instance: the only "perturbation" is the
 		// identity, which the engines will treat as a plateau move.
-		return s.arr.EvalSwapFor(0, 0, s.obj)
+		return s.eval(0, 0)
 	}
 	p := r.IntN(n)
 	q := r.IntN(n - 1)
 	if q >= p {
 		q++
 	}
+	return s.eval(p, q)
+}
+
+// eval evaluates the solution's move kind at positions p and q.
+func (s *Solution) eval(p, q int) *move {
+	a := s.arr
 	if s.kind == SingleExchange {
-		return s.arr.EvalReinsertFor(p, q, s.obj)
+		return a.eval(&a.reinsMv, p, q, true, s.obj)
 	}
-	return s.arr.EvalSwapFor(p, q, s.obj)
+	return a.eval(&a.swapMv, p, q, false, s.obj)
 }
 
 // Clone returns a deep copy.

@@ -16,14 +16,15 @@ import (
 // duplicates a job:
 //
 //  1. build the record and Append it — durable (fsync'd) when Append returns
-//  2. rename the job directory to <id>.retiring
-//  3. remove the renamed directory
-//  4. drop the job from the in-memory tables
+//  2. drop the job from the in-memory tables, so the API answers 404 from
+//     here on and no request reads a directory that is about to go
+//  3. rename the job directory to <id>.retiring
+//  4. remove the renamed directory
 //
 // A crash before 1 leaves the directory; the next sweep retries (Append
-// dedups by job ID). A crash between 1 and 2 leaves a directory whose ID
+// dedups by job ID). A crash between 1 and 3 leaves a directory whose ID
 // the archive already holds; the restart scan finishes the delete. A crash
-// during 3 leaves a .retiring directory, which is by construction always
+// during 4 leaves a .retiring directory, which is by construction always
 // safe to delete. scripts/archive_test.sh kills the daemon inside this
 // window (the "service.retire" fault site) and asserts the invariant.
 
@@ -86,6 +87,12 @@ func (m *Manager) retireJob(j *Job) error {
 	if err := faultinject.Point(faultRetire); err != nil {
 		return err
 	}
+	m.mu.Lock()
+	delete(m.jobs, j.ID)
+	if j.Key != "" && m.byKey[j.Key] == j.ID {
+		delete(m.byKey, j.Key)
+	}
+	m.mu.Unlock()
 	dir := m.jobDir(j.ID)
 	tmp := dir + retiringSuffix
 	if err := os.Rename(dir, tmp); err != nil && !os.IsNotExist(err) {
@@ -94,12 +101,6 @@ func (m *Manager) retireJob(j *Job) error {
 	if err := os.RemoveAll(tmp); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	delete(m.jobs, j.ID)
-	if j.Key != "" && m.byKey[j.Key] == j.ID {
-		delete(m.byKey, j.Key)
-	}
-	m.mu.Unlock()
 	m.obs.retired.Inc()
 	m.cfg.Logf("service: job %s: retired to archive", j.ID)
 	return nil

@@ -37,18 +37,19 @@ func getStatusGone(ts *httptest.Server, id string) bool {
 	return resp.StatusCode == http.StatusNotFound
 }
 
-// waitRetired polls until the job directory is gone and the archive holds
-// the record.
-func waitRetired(t *testing.T, m *Manager, id string) {
+// waitRetired polls until the job API answers 404 for the job and the
+// archive holds its record. It waits on the API, not on the directory: the
+// directory is deleted after the job leaves the live tables.
+func waitRetired(t *testing.T, m *Manager, ts *httptest.Server, id string) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if !fileExists(m.jobDir(id)) && m.arch.Has(id) {
+		if getStatusGone(ts, id) && m.arch.Has(id) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never retired (dir exists: %v, archived: %v)",
-				id, fileExists(m.jobDir(id)), m.arch.Has(id))
+			t.Fatalf("job %s never retired (status gone: %v, archived: %v)",
+				id, getStatusGone(ts, id), m.arch.Has(id))
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -66,7 +67,7 @@ func TestRetirementArchivesTerminalJobs(t *testing.T) {
 	if st.BestCost == nil {
 		t.Fatal("done job has no best cost")
 	}
-	waitRetired(t, m, id)
+	waitRetired(t, m, ts, id)
 
 	// The job is gone from the live API...
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + id)
@@ -136,8 +137,8 @@ func TestRetirementCoversFailedAndCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	waitRetired(t, m, failID)
-	waitRetired(t, m, cancelID)
+	waitRetired(t, m, ts, failID)
+	waitRetired(t, m, ts, cancelID)
 	recs, err := m.arch.Records(archive.Filter{State: "failed"}, 0)
 	if err != nil || len(recs) != 1 || recs[0].ID != failID || recs[0].Error == "" {
 		t.Fatalf("failed record: %v, %v", recs, err)
@@ -191,7 +192,7 @@ func TestRetireCrashWindows(t *testing.T) {
 	faultinject.Reset()
 	// The fault only fired once; with it cleared, the next sweep must
 	// converge to the retired state (the append dedups, the delete runs).
-	waitRetired(t, m, id)
+	waitRetired(t, m, ts, id)
 
 	// Reopen over the same tree: the restart scan must not resurrect the
 	// job or duplicate the record.
@@ -298,7 +299,7 @@ func TestArchiveQueryEndpoint(t *testing.T) {
 	// Retirement is immediate here, so a done job can 404 before a status
 	// poll catches it — wait on the archive, then check the recorded state.
 	for _, id := range ids {
-		waitRetired(t, m, id)
+		waitRetired(t, m, ts, id)
 	}
 	recs, err := m.arch.Records(archive.Filter{State: "done"}, 0)
 	if err != nil || len(recs) != 3 {

@@ -195,9 +195,10 @@ type (
 	// netlist.Netlist.
 	Netlist = netlist.Netlist
 	// Arrangement is a linear cell ordering with incrementally maintained
-	// density. Move evaluation costs O(nets touched · √n) and allocates
-	// nothing, so proposal throughput is set by the work a move actually
-	// does rather than by instance size; see linarr.Arrangement.
+	// density. Move evaluation visits only the nets a move touches, sweeps
+	// only the gaps between the moved positions, and allocates nothing, so
+	// proposal throughput is set by the work a move actually does rather
+	// than by instance size; see linarr.Arrangement.
 	Arrangement = linarr.Arrangement
 	// LinearSolution adapts an Arrangement to the engines; see
 	// linarr.Solution.
