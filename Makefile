@@ -32,7 +32,7 @@ bench:
 # BenchmarkHookObs), for tracking kernel, engine, and telemetry regressions
 # over time. The output is committed as BENCH_kernel.json.
 bench-json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkSwapEval$$|BenchmarkSwapApply$$|BenchmarkReinsertEval$$|BenchmarkSwapEvalLarge|BenchmarkSwapEvalNOLA$$|BenchmarkBatchSwapEval|BenchmarkTempering|BenchmarkFigure1Hooks$$|BenchmarkHookObs$$|BenchmarkMaxCutFlip$$' -benchmem . > BENCH_kernel.json
+	$(GO) test -json -run '^$$' -bench 'BenchmarkSwapEval$$|BenchmarkSwapEvalGOLA$$|BenchmarkSwapApply$$|BenchmarkReinsertEval$$|BenchmarkSwapEvalLarge|BenchmarkSwapEvalNOLA$$|BenchmarkBatchSwapEval|BenchmarkTempering|BenchmarkFigure1Hooks$$|BenchmarkHookObs$$|BenchmarkMaxCutFlip$$' -benchmem . > BENCH_kernel.json
 
 # Service-layer latency under concurrent load: start a throwaway mcoptd,
 # drive it with cmd/mcoptload (concurrent submits + NDJSON stream watch on

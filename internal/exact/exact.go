@@ -32,11 +32,32 @@ const MaxCells = 22
 // netlist over all n! linear arrangements. It errors on instances with
 // more than MaxCells cells.
 func MinDensity(nl *netlist.Netlist) (int, error) {
-	f, err := solve(nl)
+	return new(Solver).MinDensity(nl)
+}
+
+// Solver computes MinDensity for a sequence of instances, reusing its two
+// 2^n DP tables from one instance to the next. A Solver is not safe for
+// concurrent use; the zero value is ready.
+type Solver struct {
+	cut, f []int32
+}
+
+// MinDensity is the package-level MinDensity on the solver's tables.
+func (sv *Solver) MinDensity(nl *netlist.Netlist) (int, error) {
+	f, err := sv.solve(nl)
 	if err != nil {
 		return 0, err
 	}
 	return int(f[len(f)-1]), nil
+}
+
+// table returns buf resized to n entries, reusing its storage when it is
+// large enough. Every entry is overwritten by the DP before it is read.
+func table(buf []int32, n int) []int32 {
+	if cap(buf) < n {
+		return make([]int32, n)
+	}
+	return buf[:n]
 }
 
 // MinTotalSpan returns the optimal total wirelength (sum of net spans, the
@@ -50,7 +71,7 @@ func MinTotalSpan(nl *netlist.Netlist) (int, error) {
 	if n > MaxCells {
 		return 0, fmt.Errorf("exact: %d cells exceeds MaxCells = %d", n, MaxCells)
 	}
-	cut, err := frontierCuts(nl)
+	cut, err := frontierCuts(nl, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -74,7 +95,7 @@ func MinTotalSpan(nl *netlist.Netlist) (int, error) {
 // OptimalOrder returns an arrangement achieving MinDensity, reconstructed
 // from the DP table (order[pos] = cell).
 func OptimalOrder(nl *netlist.Netlist) ([]int, error) {
-	f, err := solve(nl)
+	f, err := new(Solver).solve(nl)
 	if err != nil {
 		return nil, err
 	}
@@ -103,31 +124,38 @@ func OptimalOrder(nl *netlist.Netlist) ([]int, error) {
 // frontierCuts returns cut[S] = the number of nets crossing the S / V∖S
 // frontier (a net crosses iff S∩m ≠ ∅ and m∖S ≠ ∅), for every subset.
 // Built incrementally: process subsets in increasing order, take the lowest
-// set bit as the "last added" cell, and adjust the predecessor's value over
-// that cell's incident nets only.
-func frontierCuts(nl *netlist.Netlist) ([]int32, error) {
+// set bit c as the "last added" cell, and adjust the predecessor's value
+// over c's incident nets only. Such a net holds k = |S∩m| ≥ 1 pins of S and
+// k−1 of S∖{c}: it starts crossing when k = 1 and stops when k = |m|. The
+// table is built in buf when it is large enough.
+func frontierCuts(nl *netlist.Netlist, buf []int32) ([]int32, error) {
 	n := nl.NumCells()
 	if n > MaxCells {
 		return nil, fmt.Errorf("exact: %d cells exceeds MaxCells = %d", n, MaxCells)
 	}
 	masks := netMasks(nl)
-	full := uint32(1)<<n - 1
-	cut := make([]int32, full+1)
-	pinsIn := func(m, s uint32) int { return bits.OnesCount32(m & s) }
-	for s := uint32(1); s <= full; s++ {
-		c := bits.TrailingZeros32(s)
-		prev := s &^ (uint32(1) << c)
-		v := cut[prev]
+	type incident struct {
+		mask uint32
+		size int
+	}
+	nets := make([][]incident, n)
+	for c := range nets {
 		for _, netID := range nl.CellNets(c) {
 			m := masks[netID]
-			in := pinsIn(m, s)
-			total := bits.OnesCount32(m)
-			wasCrossing := pinsIn(m, prev) > 0 && pinsIn(m, prev) < total
-			isCrossing := in > 0 && in < total
-			switch {
-			case isCrossing && !wasCrossing:
+			nets[c] = append(nets[c], incident{m, bits.OnesCount32(m)})
+		}
+	}
+	full := uint32(1)<<n - 1
+	cut := table(buf, int(full)+1)
+	cut[0] = 0
+	for s := uint32(1); s <= full; s++ {
+		c := bits.TrailingZeros32(s)
+		v := cut[s&^(uint32(1)<<c)]
+		for _, e := range nets[c] {
+			switch bits.OnesCount32(e.mask & s) {
+			case 1:
 				v++
-			case !isCrossing && wasCrossing:
+			case e.size:
 				v--
 			}
 		}
@@ -137,15 +165,18 @@ func frontierCuts(nl *netlist.Netlist) ([]int32, error) {
 }
 
 // solve fills the DP table f[S] = optimal max-gap-cut over arrangements of
-// exactly the cells in S (as a prefix of the final arrangement).
-func solve(nl *netlist.Netlist) ([]int32, error) {
-	cut, err := frontierCuts(nl)
+// exactly the cells in S (as a prefix of the final arrangement), in the
+// solver's tables.
+func (sv *Solver) solve(nl *netlist.Netlist) ([]int32, error) {
+	cut, err := frontierCuts(nl, sv.cut)
 	if err != nil {
 		return nil, err
 	}
 	n := nl.NumCells()
 	full := uint32(1)<<n - 1
-	f := make([]int32, full+1)
+	f := table(sv.f, int(full)+1)
+	sv.cut, sv.f = cut, f
+	f[0] = 0
 	for s := uint32(1); s <= full; s++ {
 		best := int32(1) << 30
 		rem := s

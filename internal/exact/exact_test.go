@@ -51,6 +51,27 @@ func TestMinDensityMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestSolverReuseMatchesFresh runs one Solver over instances that grow,
+// shrink and grow again, so its tables are both reallocated and reused
+// with stale entries, and checks every answer against a fresh solve.
+func TestSolverReuseMatchesFresh(t *testing.T) {
+	r := rng.Stream("exact-reuse", 1)
+	var sv Solver
+	for trial, n := range []int{6, 9, 4, 9, 7, 12, 5, 12} {
+		nl := netlist.RandomHyper(r, n, 3*n, 2, 4)
+		want, err := MinDensity(nl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := sv.MinDensity(nl); err != nil || got != want {
+			t.Fatalf("trial %d (n=%d): reused solver (%d, %v), fresh %d", trial, n, got, err, want)
+		}
+	}
+	if _, err := sv.MinDensity(netlist.RandomGraph(r, MaxCells+1, 10)); err == nil {
+		t.Fatal("reused solver accepted an instance beyond MaxCells")
+	}
+}
+
 func TestMinDensityPathGraph(t *testing.T) {
 	// A path has optimal density 1 (its natural order).
 	nl := netlist.MustNew(6, [][]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}})

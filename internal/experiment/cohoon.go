@@ -72,6 +72,7 @@ func CohoonBest(seed uint64, budgets []int64, ex sched.Options) (*Table, error) 
 	if jr != nil {
 		ex.Skip = jr.Done
 	}
+	opt := solveOptimum(suite)
 	rep := sched.Run(grid.N(), ex, func(ctx context.Context, j int) error {
 		v, b, i := grid.Split(j)
 		va := variants[v]
@@ -104,6 +105,6 @@ func CohoonBest(seed uint64, budgets []int64, ex sched.Options) (*Table, error) 
 		}
 		t.AddRow(va.name, row...)
 	}
-	addOptimalRow(t, suite, len(budgets))
+	addOptimalRow(t, suite, len(budgets), opt)
 	return t, rep.Err()
 }

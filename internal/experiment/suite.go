@@ -5,6 +5,7 @@ package experiment
 
 import (
 	"fmt"
+	"sync"
 
 	"mcopt/internal/gotoh"
 	"mcopt/internal/linarr"
@@ -31,6 +32,10 @@ func Seconds(s float64) int64 { return int64(s * MovesPerVAXSecond) }
 // Suite is a fixed set of problem instances, each with a fixed starting
 // arrangement shared by every method ("Each g class used the same initial
 // arrangement", §4.2.1).
+//
+// The starting arrangements are built once, on first use, and every Start
+// clones one of them, so all cells of an instance share its wiring.
+// Netlists and Starts must not change after that first use.
 type Suite struct {
 	// Name labels the suite in table titles, e.g. "GOLA".
 	Name string
@@ -38,6 +43,9 @@ type Suite struct {
 	Netlists []*netlist.Netlist
 	// Starts[i] is the starting cell order for instance i.
 	Starts [][]int
+
+	build  sync.Once
+	starts []*linarr.Arrangement // starts[i] = instance i in Starts[i]
 }
 
 // SuiteParams describes a random instance family.
@@ -102,16 +110,28 @@ func (s *Suite) WithGotoStarts() *Suite {
 // Size returns the number of instances.
 func (s *Suite) Size() int { return len(s.Netlists) }
 
+// arrangements returns the starting arrangements, building them on the
+// first call; it is safe for concurrent use. Callers only read them.
+func (s *Suite) arrangements() []*linarr.Arrangement {
+	s.build.Do(func() {
+		s.starts = make([]*linarr.Arrangement, len(s.Netlists))
+		for i, nl := range s.Netlists {
+			s.starts[i] = linarr.MustNew(nl, s.Starts[i])
+		}
+	})
+	return s.starts
+}
+
 // Start returns a fresh arrangement of instance i in its starting order.
 func (s *Suite) Start(i int) *linarr.Arrangement {
-	return linarr.MustNew(s.Netlists[i], s.Starts[i])
+	return s.arrangements()[i].Clone()
 }
 
 // StartDensities returns the density of each starting arrangement.
 func (s *Suite) StartDensities() []int {
 	out := make([]int, s.Size())
-	for i := range out {
-		out[i] = s.Start(i).Density()
+	for i, a := range s.arrangements() {
+		out[i] = a.Density()
 	}
 	return out
 }

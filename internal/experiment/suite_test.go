@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"sync"
 	"testing"
 
+	"mcopt/internal/linarr"
 	"mcopt/internal/stats"
 )
 
@@ -79,6 +81,44 @@ func TestStartReturnsFreshCopies(t *testing.T) {
 	b := s.Start(0)
 	if !stats.EqualInts(b.Order(), s.Starts[0]) {
 		t.Fatal("mutating one Start() arrangement leaked into the suite")
+	}
+}
+
+// TestStartBuildsOnceConcurrently calls Start and StartDensities from many
+// goroutines on fresh suites of each origin — NewSuite, WithGotoStarts and
+// LoadSuite — so the one lazy build races its readers (run under -race in
+// CI). Every arrangement must equal one built directly from the suite's
+// order, and every Start must be a private copy.
+func TestStartBuildsOnceConcurrently(t *testing.T) {
+	random := NewSuite(GOLAParams(), 4)
+	dir := t.TempDir()
+	if err := SaveSuite(dir, random); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := LoadSuite(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []*Suite{NewSuite(NOLAParams(), 4), random.WithGotoStarts(), loaded} {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < s.Size(); i++ {
+					a := s.Start(i)
+					want := linarr.MustNew(s.Netlists[i], s.Starts[i])
+					if !stats.EqualInts(a.Order(), s.Starts[i]) || a.Density() != want.Density() || a.TotalSpan() != want.TotalSpan() {
+						t.Errorf("%s instance %d: Start differs from a fresh build", s.Name, i)
+					}
+					if d := s.StartDensities()[i]; d != want.Density() {
+						t.Errorf("%s instance %d: StartDensities %d, want %d", s.Name, i, d, want.Density())
+					}
+					a.EvalSwap(0, a.NumCells()-1).Apply() // must not touch the suite's copy
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

@@ -38,6 +38,7 @@ func Table41(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error) 
 	suite := NewSuite(GOLAParams(), seed)
 	methods := AllMethods(GOLAScale(), TunedGOLA)
 	cfg.Seed = seed
+	opt := solveOptimum(suite)
 	x, err := Run(suite, methods, budgets, cfg)
 
 	t := &Table{
@@ -55,7 +56,7 @@ func Table41(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error) 
 	}
 	t.AddTextRow("Goto", cells...)
 	addReductionRows(t, x)
-	addOptimalRow(t, suite, len(budgets))
+	addOptimalRow(t, suite, len(budgets), opt)
 	return t, x, err
 }
 
@@ -65,6 +66,7 @@ func Table42a(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 	suite := NewSuite(GOLAParams(), seed).WithGotoStarts()
 	methods := SurvivingMethods(GOLAScale(), TunedGOLA)
 	cfg.Seed = seed
+	opt := solveOptimum(suite)
 	x, err := Run(suite, methods, budgets, cfg)
 	t := &Table{
 		Title:   "Table 4.2(a) — GOLA, Goto starts, Figure 1",
@@ -72,7 +74,7 @@ func Table42a(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 		Columns: budgetColumns(budgets),
 	}
 	addReductionRows(t, x)
-	addOptimalRow(t, suite, len(budgets))
+	addOptimalRow(t, suite, len(budgets), opt)
 	return t, x, err
 }
 
@@ -82,6 +84,7 @@ func Table42b(seed uint64, budget int64, cfg Config) (*Table, *Matrix, *Matrix, 
 	suite := NewSuite(GOLAParams(), seed)
 	methods := SurvivingMethods(GOLAScale(), TunedGOLA)
 	cfg.Seed = seed
+	opt := solveOptimum(suite)
 	fig1, err := Run(suite, methods, []int64{budget}, cfg)
 	for i := range methods {
 		methods[i] = methods[i].WithStrategy(Fig2)
@@ -116,7 +119,7 @@ func Table42b(seed uint64, budget int64, cfg Config) (*Table, *Matrix, *Matrix, 
 	t.Note = fmt.Sprintf(
 		"budget %d moves per instance; starting density sum %d; Figure 2 improved %d of %d classes; best-of spread %.1f%%",
 		budget, fig1.StartSum(), improvedByFig2, len(fig1.MethodNames), spread)
-	addOptimalRow(t, suite, 3)
+	addOptimalRow(t, suite, 3, opt)
 	return t, fig1, fig2, err
 }
 
@@ -126,6 +129,7 @@ func Table42c(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 	suite := NewSuite(NOLAParams(), seed)
 	methods := SurvivingMethods(NOLAScale(), TunedNOLA)
 	cfg.Seed = seed
+	opt := solveOptimum(suite)
 	x, err := Run(suite, methods, budgets, cfg)
 	t := &Table{
 		Title:   "Table 4.2(c) — NOLA, random starts, Figure 1",
@@ -140,7 +144,7 @@ func Table42c(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 	}
 	t.AddTextRow("Goto", cells...)
 	addReductionRows(t, x)
-	addOptimalRow(t, suite, len(budgets))
+	addOptimalRow(t, suite, len(budgets), opt)
 	return t, x, err
 }
 
@@ -149,6 +153,7 @@ func Table42d(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 	suite := NewSuite(NOLAParams(), seed).WithGotoStarts()
 	methods := SurvivingMethods(NOLAScale(), TunedNOLA)
 	cfg.Seed = seed
+	opt := solveOptimum(suite)
 	x, err := Run(suite, methods, budgets, cfg)
 	t := &Table{
 		Title:   "Table 4.2(d) — NOLA, Goto starts, Figure 1",
@@ -156,7 +161,7 @@ func Table42d(seed uint64, budgets []int64, cfg Config) (*Table, *Matrix, error)
 		Columns: budgetColumns(budgets),
 	}
 	addReductionRows(t, x)
-	addOptimalRow(t, suite, len(budgets))
+	addOptimalRow(t, suite, len(budgets), opt)
 	return t, x, err
 }
 
@@ -167,15 +172,35 @@ func addReductionRows(t *Table, x *Matrix) {
 	}
 }
 
-// addOptimalRow appends the provably maximal reduction as a reference line
-// — something the 1985 authors could not compute. It is silently skipped
-// for instances beyond the exact solver's reach.
-func addOptimalRow(t *Table, suite *Suite, cols int) {
-	opt, ok := SuiteOptimum(suite)
-	if !ok {
+// optimum is a suite's exact optimum, solved on its own goroutine.
+type optimum struct {
+	done chan struct{}
+	sum  int
+	ok   bool
+}
+
+// solveOptimum starts SuiteOptimum beside the caller's grid, so the exact
+// solves overlap the Monte Carlo cells instead of trailing them. It runs
+// outside the checkpoint journal and the scheduler: the grid's
+// fingerprint, slots and progress are unchanged.
+func solveOptimum(suite *Suite) *optimum {
+	o := &optimum{done: make(chan struct{})}
+	go func() {
+		defer close(o.done)
+		o.sum, o.ok = SuiteOptimum(suite)
+	}()
+	return o
+}
+
+// addOptimalRow waits for opt and appends the provably maximal reduction as
+// a reference line — something the 1985 authors could not compute. It is
+// silently skipped for instances beyond the exact solver's reach.
+func addOptimalRow(t *Table, suite *Suite, cols int, opt *optimum) {
+	<-opt.done
+	if !opt.ok {
 		return
 	}
-	red := suite.StartDensitySum() - opt
+	red := suite.StartDensitySum() - opt.sum
 	cells := make([]string, cols)
 	for i := range cells {
 		cells[i] = fmt.Sprintf("%d", red)
@@ -184,11 +209,13 @@ func addOptimalRow(t *Table, suite *Suite, cols int) {
 }
 
 // SuiteOptimum returns the sum of the suite's exact optimal densities, or
-// false if any instance exceeds the exact solver's size bound.
+// false if any instance exceeds the exact solver's size bound. One solver's
+// DP tables serve every instance.
 func SuiteOptimum(suite *Suite) (int, bool) {
 	total := 0
+	var sv exact.Solver
 	for _, nl := range suite.Netlists {
-		d, err := exact.MinDensity(nl)
+		d, err := sv.MinDensity(nl)
 		if err != nil {
 			return 0, false
 		}
@@ -200,10 +227,10 @@ func SuiteOptimum(suite *Suite) (int, bool) {
 // gotoReduction returns the suite-total reduction achieved by replacing each
 // starting arrangement with Goto's constructive order.
 func gotoReduction(suite *Suite) int {
-	gs := suite.WithGotoStarts()
+	gotoDens := suite.WithGotoStarts().StartDensities()
 	total := 0
-	for i := 0; i < suite.Size(); i++ {
-		total += suite.Start(i).Density() - gs.Start(i).Density()
+	for i, d := range suite.StartDensities() {
+		total += d - gotoDens[i]
 	}
 	return total
 }

@@ -8,7 +8,9 @@
 // single-exchange (remove/reinsert) moves by a window sweep over blocked gap
 // counts (see segtree.go): a move of positions p and q costs O(nets touched
 // + blocks + leaves of the blocks it posts into), with two-pin nets merged
-// into weighted cell-pair edges read straight from the positions. It also
+// into weighted cell-pair edges read straight from the positions. On
+// netlists of at most denseMaxCells cells a swap reads its pair edges from
+// a per-cell weight row instead, in one walk over the window. It also
 // provides deterministic local search and adapters implementing
 // core.Solution / core.Descender. The proposal path performs no heap
 // allocations.
@@ -42,14 +44,17 @@ type Arrangement struct {
 	cellAt []int   // cellAt[pos] = cell occupying the position
 	posOf  []int   // posOf[cell] = the cell's position
 	gaps   gapTree // committed gap-crossing counts plus the window sweep
-	netLo  []int   // netLo[n] = leftmost pin position of multi-pin net n
-	netHi  []int   // netHi[n] = rightmost pin position of multi-pin net n
-	dens   int
+	netLo  []int   // netLo[k] = leftmost pin position of multi-pin slot k
+	netHi  []int   // netHi[k] = rightmost pin position of multi-pin slot k
+	// left[c] is the weight of c's pair edges to cells on its left; kept
+	// only by the dense form (nil in the sparse form).
+	left []int
+	dens int
 	// spanSum is the total wirelength: Σ over nets of (netHi − netLo).
 	spanSum int
 
 	spans     []spanChange // multi-pin span changes of the last evaluation
-	netMark   []int        // multi-pin net dedup within one move
+	netMark   []int        // multi-pin slot dedup within one move
 	markEpoch int
 	seq       uint64
 	swapMv    move
@@ -60,23 +65,59 @@ type Arrangement struct {
 	batch *batchEval
 }
 
+// denseMaxCells is the largest cell count evaluated in the dense form. The
+// dense swap walks every position of the window once and the sparse one
+// visits every pair edge of the two swapped cells once, so the dense form
+// wins while windows are short next to the cells' degrees. At 10 nets per
+// cell, the two are level at 100 cells on BenchmarkSwapEvalLarge's widest
+// windows; with uniform random pairs (BenchmarkSwapEvalForms) the dense
+// form leads up to 192 cells and trails at 400 (EXPERIMENTS.md). The
+// threshold stays below the level point, which also caps the weight rows
+// at 96² words per netlist.
+const denseMaxCells = 96
+
 // wiring is a netlist arranged for evaluation. Two-pin nets are merged per
 // cell into weighted neighbour edges (parallel nets become one edge), whose
 // spans are read from the positions; multi-pin nets keep a span cache in
-// the arrangement.
+// the arrangement, indexed by slot (multi-pin nets in netlist order), so a
+// netlist with only two-pin nets caches nothing.
+//
+// Netlists of at most denseMaxCells cells also get the dense form: a weight
+// row per cell, which lets a swap evaluate its pair edges by one walk over
+// the window (see walkPairs) instead of visiting each edge.
 type wiring struct {
 	pairs [][]pairEdge // pairs[c] = c's two-pin neighbours
-	multi [][]int      // multi[c] = multi-pin nets incident to c
+	multi [][]int      // multi[c] = slots of the multi-pin nets incident to c
+	pins  [][]int      // pins[k] = the cells of multi-pin slot k
+
+	// Dense form only (nil otherwise).
+	w   [][]int // w[u][z] = weight of the pair edge u–z, 0 if none
+	deg []int   // deg[u] = Σ_z w[u][z]
 }
 
 type pairEdge struct{ cell, w int }
 
-type spanChange struct{ net, lo, hi int }
+// spanChange is a multi-pin slot's new span.
+type spanChange struct{ slot, lo, hi int }
 
+// newWiring builds the netlist's evaluation form, dense or sparse by cell
+// count alone.
 func newWiring(nl *netlist.Netlist) *wiring {
+	return buildWiring(nl, nl.NumCells() <= denseMaxCells)
+}
+
+// buildWiring builds the sparse form, plus the dense one when dense is set.
+func buildWiring(nl *netlist.Netlist, dense bool) *wiring {
 	w := &wiring{
 		pairs: make([][]pairEdge, nl.NumCells()),
 		multi: make([][]int, nl.NumCells()),
+	}
+	slot := make([]int, nl.NumNets())
+	for n := range slot {
+		if len(nl.Net(n)) > 2 {
+			slot[n] = len(w.pins)
+			w.pins = append(w.pins, nl.Net(n))
+		}
 	}
 	var es []pairEdge
 	for c := range w.pairs {
@@ -84,7 +125,7 @@ func newWiring(nl *netlist.Netlist) *wiring {
 		for _, n := range nl.CellNets(c) {
 			pins := nl.Net(n)
 			if len(pins) > 2 {
-				w.multi[c] = append(w.multi[c], n)
+				w.multi[c] = append(w.multi[c], slot[n])
 				continue
 			}
 			es = append(es, pairEdge{cell: pins[0] + pins[1] - c, w: 1})
@@ -98,24 +139,45 @@ func newWiring(nl *netlist.Netlist) *wiring {
 			}
 		}
 	}
+	if dense {
+		n := nl.NumCells()
+		w.w, w.deg = make([][]int, n), make([]int, n)
+		flat := make([]int, n*n)
+		for u, es := range w.pairs {
+			w.w[u] = flat[u*n : (u+1)*n : (u+1)*n]
+			for _, e := range es {
+				w.w[u][e.cell] = e.w
+				w.deg[u] += e.w
+			}
+		}
+	}
 	return w
 }
 
 // New builds an arrangement placing cell order[i] at position i. order must
 // be a permutation of 0..NumCells-1.
 func New(nl *netlist.Netlist, order []int) (*Arrangement, error) {
+	return newArrangement(nl, order, newWiring(nl))
+}
+
+// newArrangement is New over a prebuilt wiring of nl.
+func newArrangement(nl *netlist.Netlist, order []int, w *wiring) (*Arrangement, error) {
 	n := nl.NumCells()
 	if len(order) != n {
 		return nil, fmt.Errorf("linarr: order has %d entries, netlist has %d cells", len(order), n)
 	}
+	multi := len(w.pins)
 	a := &Arrangement{
 		nl:      nl,
-		wiring:  newWiring(nl),
+		wiring:  w,
 		cellAt:  slices.Clone(order),
 		posOf:   make([]int, n),
-		netLo:   make([]int, nl.NumNets()),
-		netHi:   make([]int, nl.NumNets()),
-		netMark: make([]int, nl.NumNets()),
+		netLo:   make([]int, multi),
+		netHi:   make([]int, multi),
+		netMark: make([]int, multi),
+	}
+	if w.w != nil {
+		a.left = make([]int, n)
 	}
 	a.gaps.init(max(n-1, 0))
 	seen := make([]bool, n)
@@ -155,11 +217,12 @@ func Identity(nl *netlist.Netlist) *Arrangement {
 	return MustNew(nl, order)
 }
 
-// recompute rebuilds spans, gap counts and density from the permutation —
-// O(total pins). Used at construction.
+// recompute rebuilds spans, gap counts, left weights and density from the
+// permutation — O(total pins). Used at construction.
 func (a *Arrangement) recompute() {
 	counts := make([]int, max(a.nl.NumCells()-1, 0))
 	a.spanSum = 0
+	k := 0 // multi-pin slots follow netlist order
 	for n := 0; n < a.nl.NumNets(); n++ {
 		pins := a.nl.Net(n)
 		lo, hi := a.nl.NumCells(), -1
@@ -168,7 +231,8 @@ func (a *Arrangement) recompute() {
 			hi = max(hi, a.posOf[c])
 		}
 		if len(pins) > 2 {
-			a.netLo[n], a.netHi[n] = lo, hi
+			a.netLo[k], a.netHi[k] = lo, hi
+			k++
 		}
 		a.spanSum += hi - lo
 		for g := lo; g < hi; g++ {
@@ -177,29 +241,26 @@ func (a *Arrangement) recompute() {
 	}
 	a.gaps.build(counts)
 	a.dens = a.gaps.committedMax()
-}
-
-// netSpan returns net n's committed position span: from the cache for a
-// multi-pin net, from the pin positions for a two-pin net.
-func (a *Arrangement) netSpan(n int) (lo, hi int) {
-	pins := a.nl.Net(n)
-	if len(pins) == 2 {
-		p0, p1 := a.posOf[pins[0]], a.posOf[pins[1]]
-		return min(p0, p1), max(p0, p1)
+	for c := range a.left {
+		a.left[c] = 0
+		for _, e := range a.wiring.pairs[c] {
+			if a.posOf[e.cell] < a.posOf[c] {
+				a.left[c] += e.w
+			}
+		}
 	}
-	return a.netLo[n], a.netHi[n]
 }
 
-// postNet posts multi-pin net n's span change to [lo, hi] into the gap
-// window, logs it for Apply, and returns its span delta. Each net is posted
-// at most once per move.
-func (a *Arrangement) postNet(n, lo, hi int) int {
-	oldLo, oldHi := a.netLo[n], a.netHi[n]
+// postNet posts multi-pin slot k's span change to [lo, hi] into the gap
+// window, logs it for Apply, and returns its span delta. Each slot is
+// posted at most once per move.
+func (a *Arrangement) postNet(k, lo, hi int) int {
+	oldLo, oldHi := a.netLo[k], a.netHi[k]
 	if lo == oldLo && hi == oldHi {
 		return 0
 	}
 	a.gaps.moveSpan(oldLo, oldHi, lo, hi, 1)
-	a.spans = append(a.spans, spanChange{n, lo, hi})
+	a.spans = append(a.spans, spanChange{k, lo, hi})
 	return (hi - lo) - (oldHi - oldLo)
 }
 
@@ -235,7 +296,8 @@ func (a *Arrangement) GapCut(g int) int { return a.gaps.committedAt(g) }
 
 // Clone returns a deep copy sharing only the immutable netlist and its
 // wiring. An outstanding proposal on the receiver is not carried over (the
-// receiver and its pending move are untouched).
+// receiver and its pending move are untouched). It copies O(n + multi-pin
+// nets) words.
 func (a *Arrangement) Clone() *Arrangement {
 	return &Arrangement{
 		nl:      a.nl,
@@ -245,8 +307,9 @@ func (a *Arrangement) Clone() *Arrangement {
 		gaps:    a.gaps.clone(),
 		netLo:   slices.Clone(a.netLo),
 		netHi:   slices.Clone(a.netHi),
+		left:    slices.Clone(a.left),
 		dens:    a.dens,
 		spanSum: a.spanSum,
-		netMark: make([]int, a.nl.NumNets()),
+		netMark: make([]int, len(a.netMark)),
 	}
 }

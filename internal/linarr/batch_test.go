@@ -187,7 +187,8 @@ func TestProposeBatchCloneIndependent(t *testing.T) {
 // TestProposalPathAllocatesNothing pins DESIGN.md §5's zero-allocation
 // claim: at steady state every proposal-path entry point — serial
 // evaluation of both move kinds, Apply, and the batched pair — allocates
-// nothing, on the paper's GOLA shape and on a large mixed NOLA instance.
+// nothing, on the paper's GOLA and NOLA shapes (the dense form) and on a
+// large mixed NOLA instance (the sparse form).
 func TestProposalPathAllocatesNothing(t *testing.T) {
 	gen := rand.New(rand.NewPCG(5, 5))
 	for _, inst := range []struct {
@@ -196,6 +197,7 @@ func TestProposalPathAllocatesNothing(t *testing.T) {
 	}{
 		{"gola-15x150", netlist.RandomGraph(gen, 15, 150)},
 		{"nola-400x1200", netlist.RandomHyper(gen, 400, 1200, 2, 8)},
+		{"nola-15x150", netlist.RandomHyper(gen, 15, 150, 2, 8)},
 	} {
 		t.Run(inst.name, func(t *testing.T) {
 			a := Random(inst.nl, gen)

@@ -1,6 +1,7 @@
 package linarr
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -10,10 +11,9 @@ import (
 
 // checkAgainstOracle rebuilds an arrangement from a's committed order and
 // compares every piece of incremental state — density, total span, per-gap
-// counts and per-net spans — against the from-scratch recompute. A net's
-// span is the one the kernel derives (cached for a multi-pin net, read from
-// the positions for a two-pin net) and is checked against a brute-force
-// span of the order.
+// counts, the multi-pin span cache and the dense form's left weights —
+// against the from-scratch recompute, the spans and weights against a
+// brute-force reading of the order.
 func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 	t.Helper()
 	nl := a.Netlist()
@@ -33,14 +33,25 @@ func checkAgainstOracle(t *testing.T, a *Arrangement, label string) {
 	for p, c := range a.Order() {
 		pos[c] = p
 	}
-	for n := 0; n < nl.NumNets(); n++ {
+	for k, pins := range a.wiring.pins {
 		lo, hi := a.NumCells(), -1
-		for _, c := range nl.Net(n) {
+		for _, c := range pins {
 			lo, hi = min(lo, pos[c]), max(hi, pos[c])
 		}
-		if gotLo, gotHi := a.netSpan(n); gotLo != lo || gotHi != hi {
-			t.Fatalf("%s: net %d (%d pins) span [%d,%d], oracle [%d,%d]",
-				label, n, len(nl.Net(n)), gotLo, gotHi, lo, hi)
+		if a.netLo[k] != lo || a.netHi[k] != hi {
+			t.Fatalf("%s: multi-pin slot %d (%d pins) span [%d,%d], oracle [%d,%d]",
+				label, k, len(pins), a.netLo[k], a.netHi[k], lo, hi)
+		}
+	}
+	for c := range a.left {
+		want := 0
+		for _, e := range a.wiring.pairs[c] {
+			if pos[e.cell] < pos[c] {
+				want += e.w
+			}
+		}
+		if a.left[c] != want {
+			t.Fatalf("%s: left[%d] = %d, oracle %d", label, c, a.left[c], want)
 		}
 	}
 	for c := 0; c < a.NumCells(); c++ {
@@ -128,19 +139,30 @@ func TestKernelDifferential(t *testing.T) {
 }
 
 // FuzzArrangementKernel interprets fuzz bytes as a netlist shape plus a move
-// program and cross-checks the incremental kernel against the recompute
-// oracle, mirroring the netlist text fuzzer.
+// program, runs the program through the dense and the sparse form of the
+// same arrangement, and cross-checks their deltas against each other and
+// their final state against the recompute oracle, mirroring the netlist
+// text fuzzer.
 func FuzzArrangementKernel(f *testing.F) {
 	f.Add([]byte{5, 0, 1, 1, 2, 0xFF, 10, 20, 30})
 	f.Add([]byte{2, 0, 1, 0xFF, 0, 1, 2, 3})
 	f.Add([]byte{15, 0, 1, 2, 3, 4, 5, 0xFF, 200, 100, 9, 8, 7, 6, 5, 4, 3})
 	f.Add([]byte{3})
 	f.Add([]byte{9, 0x40, 3, 7, 1, 2, 0x41, 5, 8, 1, 2, 0xFF, 1, 0x88, 0x83, 0x85, 4, 0x86, 2, 7})
+	// denseMaxCells cells, then one above: the largest dense netlist and
+	// the smallest sparse one, both with windows over several gap blocks.
+	f.Add([]byte{0xF7, 0, 95, 3, 60, 0x40, 17, 80, 40, 2, 0xFF, 0x85, 0x8A, 3, 0x90, 90, 0x81, 12, 70, 0x8F, 1, 50, 4})
+	f.Add([]byte{0xF8, 1, 96, 5, 33, 0x41, 20, 88, 64, 7, 93, 0xFF, 96, 0x82, 0x84, 0x8C, 5, 0x91, 40, 0x80, 95, 2, 11, 0x9E})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := int(data[0])%19 + 2 // 2..20 cells
+		// 2..20 cells, or denseMaxCells−7..denseMaxCells+8 when the top
+		// nibble is 0xF, straddling the dense/sparse threshold.
+		n := int(data[0])%19 + 2
+		if data[0] >= 0xF0 {
+			n = denseMaxCells - 7 + int(data[0]&0x0F)
+		}
 		data = data[1:]
 
 		// Bytes up to the 0xFF sentinel are net pins: a net whose first
@@ -166,21 +188,27 @@ func FuzzArrangementKernel(f *testing.F) {
 			return // duplicate pins etc.: fine, as long as there is no panic
 		}
 
-		a := Identity(nl)
+		identity := Identity(nl).Order()
+		dense := withForm(t, nl, identity, true)
+		sparse := withForm(t, nl, identity, false)
 		// Remaining bytes are the move program: each byte encodes move
 		// class, positions, and whether to apply.
 		for i := 0; i+1 < len(data); i += 2 {
 			p, q := int(data[i])%n, int(data[i+1])%n
-			var m Move
+			var md, ms Move
 			if data[i]&0x80 != 0 {
-				m = a.EvalReinsert(p, q)
+				md, ms = dense.EvalReinsert(p, q), sparse.EvalReinsert(p, q)
 			} else {
-				m = a.EvalSwap(p, q)
+				md, ms = dense.EvalSwap(p, q), sparse.EvalSwap(p, q)
 			}
+			sameMove(t, md, ms, fmt.Sprintf("move %d (%d,%d)", i/2, p, q))
 			if data[i+1]&0x80 != 0 {
-				m.Apply()
+				md.Apply()
+				ms.Apply()
 			}
 		}
-		checkAgainstOracle(t, a, "after fuzz program")
+		sameState(t, dense, sparse, "after fuzz program")
+		checkAgainstOracle(t, dense, "dense after fuzz program")
+		checkAgainstOracle(t, sparse, "sparse after fuzz program")
 	})
 }

@@ -89,7 +89,10 @@ func (a *Arrangement) eval(m *move, p, q int, reinsert bool, obj Objective) *mov
 	a.checkPos(p)
 	a.checkPos(q)
 	a.seq++
-	*m = move{a: a, p: p, q: q, reinsert: reinsert, obj: obj, seq: a.seq}
+	// Field by field: a whole-struct store of the pointer-carrying move
+	// costs a bulk write barrier on every evaluation.
+	m.a, m.p, m.q, m.reinsert, m.obj, m.seq = a, p, q, reinsert, obj, a.seq
+	m.delta, m.spanDelta = 0, 0
 	a.spans = a.spans[:0]
 	if p == q {
 		return m
@@ -124,9 +127,12 @@ func (m *move) Apply() {
 	}
 	a.seq++
 	if m.p != m.q {
+		if a.left != nil {
+			a.commitDense(m.p, m.q, m.reinsert)
+		}
 		a.gaps.commit()
 		for _, c := range a.spans {
-			a.netLo[c.net], a.netHi[c.net] = c.lo, c.hi
+			a.netLo[c.slot], a.netHi[c.slot] = c.lo, c.hi
 		}
 		if m.reinsert {
 			c := a.cellAt[m.p]
@@ -155,16 +161,21 @@ func (a *Arrangement) postSwap(p, q int) int {
 	lo, hi := min(p, q), max(p, q)
 	u, v := a.cellAt[lo], a.cellAt[hi]
 	a.gaps.open(lo, hi)
-	spanDelta := a.postPairs(u, v, lo, hi, 1) + a.postPairs(v, u, lo, hi, -1)
+	var spanDelta int
+	if a.left != nil {
+		spanDelta = a.walkPairs(lo, hi)
+	} else {
+		spanDelta = a.postPairs(u, v, lo, hi, 1) + a.postPairs(v, u, lo, hi, -1)
+	}
 	a.markEpoch++
 	for _, c := range [2]int{u, v} {
-		for _, n := range a.wiring.multi[c] {
-			if a.netMark[n] == a.markEpoch {
+		for _, k := range a.wiring.multi[c] {
+			if a.netMark[k] == a.markEpoch {
 				continue
 			}
-			a.netMark[n] = a.markEpoch
+			a.netMark[k] = a.markEpoch
 			nlo, nhi := a.nl.NumCells(), -1
-			for _, pin := range a.nl.Net(n) {
+			for _, pin := range a.wiring.pins[k] {
 				pp := a.posOf[pin]
 				switch pin {
 				case u:
@@ -174,10 +185,81 @@ func (a *Arrangement) postSwap(p, q int) int {
 				}
 				nlo, nhi = min(nlo, pp), max(nhi, pp)
 			}
-			spanDelta += a.postNet(n, nlo, nhi)
+			spanDelta += a.postNet(k, nlo, nhi)
 		}
 	}
 	return spanDelta
+}
+
+// walkPairs posts the pair edges of interchanging the cells u and v at
+// positions lo < hi in the dense form, by one walk over the window's
+// interior. Write A(g) = Σ w[u][z] and B(g) = Σ w[v][z] over the cells z
+// at positions lo < pz ≤ g. At window gap g, u's edges to cells at or left
+// of g start crossing it and its edges to cells right of g (v excepted)
+// stop; v's edges do the reverse. Gap g therefore changes by
+//
+//	2·(left[u] − left[v] + w[u][v] + inner + A(g) − B(g)) − (deg u − deg v)
+//
+// with inner = B(hi−1), the weight of v's edges into the interior: a
+// constant posted to the window base plus one endpoint 2·(w[u][z] − w[v][z])
+// at each interior position. The walk has no branch on the data. Its
+// endpoints go into the difference array without a log entry; commitDense
+// posts them again when the move is applied.
+func (a *Arrangement) walkPairs(lo, hi int) (spanDelta int) {
+	t := &a.gaps
+	u, v := a.cellAt[lo], a.cellAt[hi]
+	wu, wv := a.wiring.w[u], a.wiring.w[v]
+	inner := 0
+	for pz := lo + 1; pz < hi; pz++ {
+		z := a.cellAt[pz]
+		d := 2 * (wu[z] - wv[z])
+		t.diff[pz] += d
+		inner += wv[z]
+		spanDelta += d * (hi - pz)
+	}
+	t.markInside()
+	c := 2*(a.left[u]-a.left[v]+wu[v]+inner) - (a.wiring.deg[u] - a.wiring.deg[v])
+	t.base += c
+	return spanDelta + c*(hi-lo)
+}
+
+// commitDense readies the dense form for applying the move of positions
+// p ≠ q, before the cells move and before the gap tree commits: a swap's
+// walk endpoints are posted again, and the left weights change for the
+// cells in [min(p,q), max(p,q)], the only ones that change sides relative
+// to each other.
+func (a *Arrangement) commitDense(p, q int, reinsert bool) {
+	w := a.wiring.w // symmetric: w[z][u] == w[u][z]
+	if !reinsert {
+		lo, hi := min(p, q), max(p, q)
+		u, v := a.cellAt[lo], a.cellAt[hi]
+		wu, wv := w[u], w[v]
+		gain, loss := wu[v], wv[u]
+		t := &a.gaps
+		for pz := lo + 1; pz < hi; pz++ {
+			z := a.cellAt[pz]
+			t.diff[pz] += 2 * (wu[z] - wv[z])
+			a.left[z] += wv[z] - wu[z]
+			gain += wu[z]
+			loss += wv[z]
+		}
+		t.markInside()
+		a.left[u] += gain
+		a.left[v] -= loss
+		return
+	}
+	// The cell c at p passes every cell between p and q (q included).
+	c, s := a.cellAt[p], 1
+	if q < p {
+		p, q, s = q-1, p-1, -1
+	}
+	wc, gain := w[c], 0
+	for pz := p + 1; pz <= q; pz++ {
+		z := a.cellAt[pz]
+		a.left[z] -= s * wc[z]
+		gain += wc[z]
+	}
+	a.left[c] += s * gain
 }
 
 // postPairs posts the pair edges of cell c as it crosses the window from
@@ -248,17 +330,17 @@ func (a *Arrangement) postReinsert(p, q int) int {
 				spanDelta += e.w * ((nhi - nlo) - (oldHi - oldLo))
 			}
 		}
-		for _, n := range a.wiring.multi[c] {
-			if a.netMark[n] == a.markEpoch {
+		for _, k := range a.wiring.multi[c] {
+			if a.netMark[k] == a.markEpoch {
 				continue
 			}
-			a.netMark[n] = a.markEpoch
+			a.netMark[k] = a.markEpoch
 			nlo, nhi := a.nl.NumCells(), -1
-			for _, pin := range a.nl.Net(n) {
+			for _, pin := range a.wiring.pins[k] {
 				pp := newPos(a.posOf[pin])
 				nlo, nhi = min(nlo, pp), max(nhi, pp)
 			}
-			spanDelta += a.postNet(n, nlo, nhi)
+			spanDelta += a.postNet(k, nlo, nhi)
 		}
 	}
 	return spanDelta

@@ -22,7 +22,10 @@ import "slices"
 // The sweep consumes the difference array as it reads it, so it is all-zero
 // between evaluations and a rejected move needs no rollback. The postings
 // also stay in a short log (base plus the inside endpoints) until the next
-// window opens; commit replays that log into the committed counts.
+// window opens; commit replays that log into the committed counts. A caller
+// that writes the difference array directly (the dense pair walk, see
+// markInside) keeps no log entry and writes its endpoints again before
+// commit.
 type gapTree struct {
 	n      int  // number of gaps (leaves)
 	shift  uint // log2 of the block size, a power of two ≥ √n (min 16)
@@ -95,6 +98,18 @@ func (t *gapTree) postInside(e, d int) {
 	t.log = append(t.log, endpoint{e, d})
 }
 
+// markInside marks every block holding a gap strictly inside the window as
+// posted, for a caller that writes diff there directly instead of through
+// postInside (and so also keeps no log entry).
+func (t *gapTree) markInside() {
+	if t.lo+1 >= t.hi {
+		return
+	}
+	for b := (t.lo + 1) >> t.shift; b <= (t.hi-1)>>t.shift; b++ {
+		t.posted[b] = true
+	}
+}
+
 // moveSpan posts a span of weight w moving from gaps [oldLo, oldHi) to
 // [lo, hi).
 func (t *gapTree) moveSpan(oldLo, oldHi, lo, hi, w int) {
@@ -134,8 +149,9 @@ func (t *gapTree) sweepMax() int {
 	return m
 }
 
-// commit replays the logged postings of the last swept window into the
-// committed counts.
+// commit replays the logged postings of the last swept window, together
+// with any endpoints the caller wrote into diff again since the sweep, into
+// the committed counts.
 func (t *gapTree) commit() {
 	for _, p := range t.log {
 		t.diff[p.g] += p.d
